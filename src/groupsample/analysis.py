@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.signal import fftconvolve
 
 from .grids import Grid, GridFunction, interpolate
 from .groups import EuclideanModel, HeisenbergModel, AffineModel, UnsupportedModelError
@@ -56,6 +55,17 @@ def _fft_shift_indices(grid: Grid):
     return k_round.astype(int)
 
 
+def _fft_full_convolution(a, b):
+    """Full linear convolution of two arrays by a zero-padded FFT product."""
+    shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
+    axes = tuple(range(a.ndim))
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        fwd, back = np.fft.fftn, np.fft.ifftn
+    else:
+        fwd, back = np.fft.rfftn, np.fft.irfftn
+    return back(fwd(a, shape, axes) * fwd(b, shape, axes), shape, axes)
+
+
 def convolve(f: GridFunction, g: GridFunction, method: str = "auto") -> GridFunction:
     """Group convolution (f*g)(x) = int f(y) g(y^-1 x) dy on a shared grid.
 
@@ -76,7 +86,7 @@ def convolve(f: GridFunction, g: GridFunction, method: str = "auto") -> GridFunc
         if shift is None:
             raise ValueError("fft path requires the origin on the node lattice")
         cell = float(np.prod(grid.spacings))
-        full = fftconvolve(f.values, g.values, mode="full") * cell
+        full = _fft_full_convolution(f.values, g.values) * cell
         sl = tuple(slice(s, s + n) for s, n in zip(shift, grid.shape))
         return GridFunction(grid, full[sl])
 

@@ -16,6 +16,8 @@ Chart conventions
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -111,6 +113,21 @@ class GroupModel:
         """
         return self.norm(g)
 
+    def ball_box(self, p, r):
+        """Internal-coordinate bounding box (lo, hi) of each ball p B_r, where
+        B_r = {z : gauge(z) < r}; p has shape (m, dim), lo and hi too."""
+        raise NotImplementedError
+
+    def separation_distance(self, s: float) -> float:
+        """Gauge distance gauge(g2^-1 g1) at or above which the balls g1 B_s
+        and g2 B_s are disjoint.
+
+        2s wherever the gauge is subadditive: the norm of R^n, and the H1
+        norm, which under this group law is the Cygan-Koranyi gauge (Cygan,
+        Proc. AMS 83 (1981) 69-70).
+        """
+        return 2.0 * s
+
     def random_points(self, n, scale=1.0, rng=None) -> np.ndarray:
         rng = np.random.default_rng(rng)
         return self.from_internal(rng.normal(scale=scale, size=(n, self.dim)))
@@ -121,7 +138,6 @@ class GroupModel:
 
 class EuclideanModel(GroupModel):
     kind = "euclidean"
-    triangle_constant = 1.0
 
     def __init__(self, n: int = 1):
         if n < 1:
@@ -148,6 +164,10 @@ class EuclideanModel(GroupModel):
         if t <= 0:
             raise ValueError("dilation parameter must be positive")
         return t * _as_points(g, self.dim)
+
+    def ball_box(self, p, r):
+        p = _as_points(p, self.dim)
+        return p - r, p + r
 
 
 class AffineModel(GroupModel):
@@ -209,14 +229,24 @@ class AffineModel(GroupModel):
         rng = np.random.default_rng(rng)
         return self.from_internal(rng.normal(scale=scale, size=(n, 2)))
 
+    def ball_box(self, p, r):
+        # p (a_z, b_z) = (a_p a_z, b_p + a_p b_z)
+        u = self.to_internal(p)
+        half = np.empty_like(u)
+        half[..., 0] = r
+        half[..., 1] = r * np.asarray(p, dtype=float)[..., 0]
+        return u - half, u + half
+
+    def separation_distance(self, s):
+        # a common point g1 z1 = g2 z2 with z1, z2 in B_s gives
+        # g2^-1 g1 = z2 z1^-1, whose |log a| <= 2s and |b| <= s + e^{2s} s
+        return s * (1.0 + math.exp(2.0 * s))
+
 
 class HeisenbergModel(GroupModel):
     kind = "heis1"
     dim = 3
     homogeneous_dimension = 4
-
-    def __init__(self):
-        self._triangle_constant = None
 
     def model_id(self):
         return "heis1"
@@ -252,22 +282,15 @@ class HeisenbergModel(GroupModel):
         out[..., 2] = t * t * g[..., 2]
         return out
 
-    @property
-    def triangle_constant(self) -> float:
-        """Estimate of the quasi-triangle constant |xy| <= C (|x|+|y|).
+    def ball_box(self, p, r):
+        # |x|, |y| < r and 4|t| < r^2 on B_r; the group law shears t by
+        # (p_x z_y - p_y z_x)/2
+        p = _as_points(p, 3)
+        half = np.empty_like(p)
+        half[..., :2] = r
+        half[..., 2] = r * (r / 4.0 + (np.abs(p[..., 0]) + np.abs(p[..., 1])) / 2.0)
+        return p - half, p + half
 
-        Maximized over random pairs; clamped below at 1 (attained on rays).
-        """
-        if self._triangle_constant is None:
-            self._triangle_constant = self.estimate_triangle_constant()
-        return self._triangle_constant
-
-    def estimate_triangle_constant(self, n_pairs: int = 1_000_000, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n_pairs, 3)) * np.array([1.0, 1.0, 0.7])
-        y = rng.normal(size=(n_pairs, 3)) * np.array([1.0, 1.0, 0.7])
-        ratio = self.norm(self.mul(x, y)) / (self.norm(x) + self.norm(y))
-        return max(float(ratio.max()), 1.0)
 
 
 def model_from_id(model_id: str) -> GroupModel:
@@ -275,7 +298,11 @@ def model_from_id(model_id: str) -> GroupModel:
     if model_id == "r1":
         return EuclideanModel(1)
     if model_id.startswith("rn:"):
-        return EuclideanModel(int(model_id.split(":", 1)[1]))
+        n = int(model_id.split(":", 1)[1])
+        if n > 3:
+            # oscillation and ball sampling take sphere directions in R^1..R^3
+            raise ValueError(f"unsupported model {model_id!r}: rn:N needs N <= 3")
+        return EuclideanModel(n)
     if model_id == "affine":
         return AffineModel()
     if model_id == "heis1":

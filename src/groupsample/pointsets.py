@@ -102,25 +102,79 @@ class Certificate:
         )
 
 
-def _pairwise_gauge(model, pts, chunk=512):
-    """d[i, j] = gauge(p_j^-1 p_i)."""
-    n = len(pts)
-    inv = model.inv(pts)
-    out = np.empty((n, n))
-    for s in range(0, n, chunk):
-        blk = pts[s : s + chunk]
-        out[s : s + chunk] = model.gauge(model.mul(inv[None, :, :], blk[:, None, :]))
-    return out
+# relative padding of the candidate boxes, so that rounding in the gauge never
+# finds a pair within r that the box left out
+_BOX_SLACK = 1e-9
+# candidate pairs per block of gauge evaluations
+_CHUNK = 1 << 18
+# bucket cells per median box width: finer cells mean fewer candidates
+# outside the boxes but more cell runs per box
+_CELLS_PER_BOX = 4
 
 
-def _dist_to_set(model, x, pts, chunk=2048):
-    """d[k, i] = gauge(p_i^-1 x_k), chunked over x."""
+def _near_pairs(model, x, pts, r):
+    """Every pair with d = gauge(p_j^-1 x_i) < r, as arrays (i, j, d) sorted
+    by (i, j).  r may be inf.
+
+    d is evaluated only on candidates: the x_i inside the internal-coordinate
+    bounding box of p_j B_r (``model.ball_box``).  The x are bucketed into
+    cells a quarter of the median box wide; the cells a box meets form one
+    run of sorted cell keys per cell of its first dim - 1 axes.
+    """
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    if not (len(x) and len(pts)):
+        return empty
+    u = model.to_internal(x)
+    lo, hi = model.ball_box(pts, r)
+    pad = _BOX_SLACK * (np.abs(lo) + np.abs(hi))
+    lo, hi = lo - pad, hi + pad
+
+    umin, umax = u.min(axis=0), u.max(axis=0)
+    cell = np.maximum(np.median(hi - lo, axis=0) / _CELLS_PER_BOX, (umax - umin) / len(x))
+    n_cells = ((umax - umin) / cell).astype(np.int64) + 1
+    strides = np.cumprod(np.r_[1, n_cells[:0:-1]])[::-1]
+
+    def cell_of(v):
+        return np.minimum(((v - umin) / cell).astype(np.int64), n_cells - 1)
+
+    key = cell_of(u) @ strides
+    order = np.argsort(key, kind="stable")
+    key, u, x = key[order], u[order], np.asarray(x, dtype=float)[order]
+
+    c_lo = cell_of(np.clip(lo, umin, umax))
+    c_hi = cell_of(np.clip(hi, umin, umax))
+    span = c_hi[:, :-1] - c_lo[:, :-1] + 1
+    meets = np.all((lo <= umax) & (hi >= umin), axis=1)
+    n_run = np.where(meets, np.prod(span, axis=1), 0)
+    jr = np.repeat(np.arange(len(pts)), n_run)
+    rest = np.arange(len(jr)) - np.repeat(np.cumsum(n_run) - n_run, n_run)
+    first = c_lo[jr, -1]  # key of the run's first cell
+    for k in reversed(range(model.dim - 1)):
+        sk = span[jr, k]
+        first = first + (c_lo[jr, k] + rest % sk) * strides[k]
+        rest //= sk
+    start = np.searchsorted(key, first, side="left")
+    count = np.searchsorted(key, first + c_hi[jr, -1] - c_lo[jr, -1], side="right") - start
+
     inv = model.inv(pts)
-    out = np.empty((len(x), len(pts)))
-    for s in range(0, len(x), chunk):
-        blk = x[s : s + chunk]
-        out[s : s + chunk] = model.gauge(model.mul(inv[None, :, :], blk[:, None, :]))
-    return out
+    out = [empty]
+    cuts = np.searchsorted(np.cumsum(count), np.arange(_CHUNK, count.sum(), _CHUNK))
+    for jb, sb, cb in zip(np.split(jr, cuts), np.split(start, cuts), np.split(count, cuts)):
+        # positions in the sorted x, run after run
+        pos = np.arange(cb.sum()) + np.repeat(sb - (np.cumsum(cb) - cb), cb)
+        uc = u[pos]
+        inside = np.all(
+            (uc >= np.repeat(lo[jb], cb, axis=0)) & (uc <= np.repeat(hi[jb], cb, axis=0)), axis=1
+        )
+        pos, jc = pos[inside], np.repeat(jb, cb)[inside]
+        if not len(pos):
+            continue
+        d = model.gauge(model.mul(inv[jc], x[pos]))
+        near = d < r
+        out.append((order[pos[near]], jc[near], d[near]))
+    i, j, d = (np.concatenate(a) for a in zip(*out))
+    k = np.lexsort((j, i))
+    return i[k], j[k], d[k]
 
 
 def greedy_separated_dense(model, lo, hi, r, shape=None):
@@ -128,7 +182,7 @@ def greedy_separated_dense(model, lo, hi, r, shape=None):
 
     Greedy maximality makes the output B_r-dense on the candidate grid while
     pairwise gauge distances stay >= r, hence the translated balls of radius
-    r/(2 C) are disjoint (C the quasi-triangle constant).
+    s are disjoint wherever ``model.separation_distance(s) <= r``.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -164,58 +218,73 @@ def greedy_separated_dense(model, lo, hi, r, shape=None):
 def verify_separated(ps: PointSet, s: float, n_ball=64) -> Certificate:
     """Pairwise disjointness of the gauge balls of radius s around the points.
 
-    Fast path: gauge distance >= 2 C s is sufficient.  Pairs below that are
-    checked by sampling one ball and testing membership in the other.
+    Two balls are disjoint when their centres lie at gauge distance at least
+    ``model.separation_distance(s)``: 2s where the gauge is subadditive (R^n,
+    H1), s (1 + e^{2s}) for the affine box gauge.  Only the closer pairs are
+    checked further.  Affine balls are coordinate boxes, and their overlap is
+    decided exactly; elsewhere points of one ball on ``n_ball`` dilated sphere
+    directions are tested for membership in the other, a sampled check.
     """
     if s <= 0:
         raise ValueError("radius must be positive")
     model = ps.model
-    c_tri = getattr(model, "triangle_constant", 1.0)
-    d = _pairwise_gauge(model, ps.points)
-    np.fill_diagonal(d, np.inf)
-    suspect = np.argwhere(d < 2.0 * c_tri * s)
+    i, j, _ = _near_pairs(model, ps.points, ps.points, model.separation_distance(s))
     n_exact = 0
-    for i, j in suspect:
-        if i >= j:
-            continue
+    for a, b in zip(i[i < j], j[i < j]):
         n_exact += 1
-        if _balls_overlap(model, ps.points[i], ps.points[j], s, n_ball):
+        if _balls_overlap(model, ps.points[a], ps.points[b], s, n_ball):
             return Certificate(
-                "separated", s, False, witness=(ps.points[i], ps.points[j]),
+                "separated", s, False, witness=(ps.points[a], ps.points[b]),
                 n_checked=len(ps), detail={"exact_pairs": n_exact},
             )
     return Certificate("separated", s, True, n_checked=len(ps), detail={"exact_pairs": n_exact})
 
 
 def _balls_overlap(model, g1, g2, s, n_ball):
+    if isinstance(model, AffineModel):
+        # g1 z1 = g2 z2 with z2 = h z1, h = g2^-1 g1 = (alpha, beta): z1 = (a, b)
+        # needs |log a|, |log a + log alpha| < s and |b|, |beta + alpha b| < s
+        alpha, beta = model.mul(model.inv(g2), g1)
+        la = math.log(alpha)
+        return bool(
+            max(-s, -s - la) < min(s, s - la)
+            and max(-s, (-s - beta) / alpha) < min(s, (s - beta) / alpha)
+        )
     from .analysis import _sphere_directions  # shared direction sample
 
-    if hasattr(model, "dilate") and not isinstance(model, AffineModel):
-        dirs = _sphere_directions(model, n_ball)
-        zs = [model.dilate(s * f, dirs) for f in (0.999, 0.75, 0.5, 0.25)]
-        zs.append(np.zeros((1, model.dim)))
-        z = np.concatenate(zs)
-    else:
-        # coordinate box gauge: sample the internal box
-        rng = np.random.default_rng(0)
-        z = model.from_internal(rng.uniform(-s, s, size=(4 * n_ball, model.dim)))
-    pts = model.mul(g1[None, :], z)
+    dirs = _sphere_directions(model, n_ball)
+    zs = [model.dilate(s * f, dirs) for f in (0.999, 0.75, 0.5, 0.25)]
+    zs.append(np.zeros((1, model.dim)))
+    pts = model.mul(g1[None, :], np.concatenate(zs))
     dd = model.gauge(model.mul(model.inv(g2)[None, :], pts))
     return bool(np.any(dd < s - 1e-12))
 
 
 def verify_dense(ps: PointSet, r: float, shape=64) -> Certificate:
-    """Every grid point of the region lies within gauge distance r of the set."""
+    """Every grid point of the region lies within gauge distance r of the set.
+
+    ``worst_distance`` is exact: nodes with no point within r get their
+    distance to the whole set.
+    """
     if r <= 0:
         raise ValueError("radius must be positive")
-    grid = Grid.regular(ps.model, ps.lo, ps.hi, shape)
-    x = grid.points().reshape(-1, ps.model.dim)
-    d = _dist_to_set(ps.model, x, ps.points).min(axis=1)
-    k = int(np.argmax(d))
-    passed = bool(d[k] < r)
+    model = ps.model
+    grid = Grid.regular(model, ps.lo, ps.hi, shape)
+    x = grid.points().reshape(-1, model.dim)
+    dist = np.full(len(x), np.inf)
+    i, _, d = _near_pairs(model, x, ps.points, r)
+    np.minimum.at(dist, i, d)
+    far = np.flatnonzero(np.isinf(dist))
+    step = max(1, _CHUNK // len(ps))
+    for start in range(0, len(far), step):
+        blk = far[start : start + step]
+        i, _, d = _near_pairs(model, x[blk], ps.points, np.inf)
+        np.minimum.at(dist, blk[i], d)
+    k = int(np.argmax(dist))
+    passed = bool(dist[k] < r)
     return Certificate(
         "dense", r, passed, witness=None if passed else x[k],
-        n_checked=len(x), detail={"worst_distance": float(d[k])},
+        n_checked=len(x), detail={"worst_distance": float(dist[k])},
     )
 
 
@@ -242,17 +311,13 @@ class Partition:
         a = self.assignment.reshape(-1)
         covered = bool(np.all(a >= 0))
         x = self.grid.points().reshape(-1, self.grid.dim)
-        d = _dist_to_set(self.pointset.model, x, self.pointset.points)
-        own = d[np.arange(len(a)), a]
-        inside_u = bool(np.all(own < self.u_radius + 1e-12))
+        u_tol, w_tol = self.u_radius + 1e-12, self.w_radius - 1e-12
+        i, j, d = _near_pairs(self.pointset.model, x, self.pointset.points, max(u_tol, w_tol))
+        own = (j == a[i]) & (d < u_tol)
+        inside_u = bool(np.count_nonzero(own) == len(a))
         # every cell strictly inside gamma B_W belongs to gamma
-        near = d < self.w_radius - 1e-12
-        w_ok = True
-        for k in range(len(self.pointset)):
-            cells = np.nonzero(near[:, k])[0]
-            if cells.size and not np.all(a[cells] == k):
-                w_ok = False
-                break
+        near = d < w_tol
+        w_ok = bool(np.all(j[near] == a[i[near]]))
         return {"covered": covered, "inside_u": inside_u, "w_contained": w_ok}
 
     def to_json(self):
@@ -269,6 +334,14 @@ class Partition:
         )
 
 
+def _first_per_cell(i, j, key):
+    """For each distinct cell i of the pairs (i, j), the j with the smallest
+    (key, j)."""
+    k = np.lexsort((j, key, i))
+    cells, first = np.unique(i[k], return_index=True)
+    return cells, j[k][first]
+
+
 def build_partition(ps: PointSet, w_radius, u_radius, shape=64) -> Partition:
     """Recursive cell construction: seed each point with its W-ball, then hand
     the remaining region to the points in enumeration order, each taking what
@@ -279,20 +352,22 @@ def build_partition(ps: PointSet, w_radius, u_radius, shape=64) -> Partition:
     model = ps.model
     grid = Grid.regular(model, ps.lo, ps.hi, shape)
     x = grid.points().reshape(-1, model.dim)
-    d = _dist_to_set(model, x, ps.points)
+    i, j, d = _near_pairs(model, x, ps.points, u_radius)
 
     assignment = np.full(len(x), -1, dtype=np.int64)
     # W-balls first; separation certificate makes these disjoint, numerically
-    # a shared cell goes to the nearer point
-    in_w = d < w_radius
-    any_w = in_w.any(axis=1)
-    dd = np.where(in_w, d, np.inf)
-    assignment[any_w] = np.argmin(dd[any_w], axis=1)
-
+    # a shared cell goes to the nearer point, ties to the lower index
+    w = d < w_radius
+    cells, owner = _first_per_cell(i[w], j[w], d[w])
+    assignment[cells] = owner
+    # each free cell goes to the first point in enumeration order whose
+    # U-ball holds it
     order = ps.sorted_order()
-    for k in order:
-        free = (assignment < 0) & (d[:, k] < u_radius)
-        assignment[free] = k
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    free = assignment[i] < 0
+    cells, owner = _first_per_cell(i[free], j[free], rank[j[free]])
+    assignment[cells] = owner
     if np.any(assignment < 0):
         bad = x[np.argmax(assignment < 0)]
         raise ValueError(

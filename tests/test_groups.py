@@ -72,11 +72,40 @@ def test_heisenberg_koranyi_norm():
     assert n[1] == pytest.approx(16.0**0.25)
 
 
-def test_heisenberg_triangle_constant():
+def test_heisenberg_gauge_subadditive():
+    # the H1 norm is the Cygan-Koranyi gauge, so separation_distance(s) = 2s
     model = HeisenbergModel()
-    c = model.triangle_constant
-    emp = model.estimate_triangle_constant(n_pairs=20000, seed=1)
-    assert emp <= c + 1e-9
+    rng = np.random.default_rng(1)
+    for scale in (0.1, 1.0, 10.0):
+        x = model.random_points(20000, scale=scale, rng=rng)
+        y = model.random_points(20000, scale=scale, rng=rng)
+        lhs = model.gauge(model.mul(x, y))
+        rhs = model.gauge(x) + model.gauge(y)
+        assert np.all(lhs <= rhs * (1 + 1e-12))
+    assert model.separation_distance(0.7) == pytest.approx(1.4)
+
+
+@pytest.mark.parametrize("s", [0.1, 1.0, 2.5])
+def test_affine_separation_distance_sound(s):
+    # z2 z1^-1 = g2^-1 g1 for a common point g1 z1 = g2 z2 of two s-balls
+    model = AffineModel()
+    rng = np.random.default_rng(2)
+    z1 = model.from_internal(rng.uniform(-s, s, size=(20000, 2)))
+    z2 = model.from_internal(rng.uniform(-s, s, size=(20000, 2)))
+    d = model.gauge(model.mul(z2, model.inv(z1)))
+    assert np.all(d < model.separation_distance(s))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.model_id())
+def test_ball_box_holds_ball(model):
+    rng = np.random.default_rng(4)
+    r = 1.3
+    z = model.random_points(4000, scale=1.0, rng=rng)
+    z = z[model.gauge(z) < r]
+    p = model.random_points(len(z), scale=3.0, rng=rng)
+    lo, hi = model.ball_box(p, r)
+    u = model.to_internal(model.mul(p, z))
+    assert np.all((u >= lo) & (u <= hi))
 
 
 def test_affine_haar_weight():
@@ -93,3 +122,8 @@ def test_model_from_id():
     assert isinstance(model_from_id("heis1"), HeisenbergModel)
     with pytest.raises(ValueError):
         model_from_id("nope")
+
+
+def test_model_from_id_rejects_rn_above_3():
+    with pytest.raises(ValueError, match="N <= 3"):
+        model_from_id("rn:4")

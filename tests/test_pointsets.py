@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from groupsample import (
     EuclideanModel,
     AffineModel,
     HeisenbergModel,
+    Grid,
     PointSet,
     greedy_separated_dense,
     verify_separated,
@@ -14,7 +17,25 @@ from groupsample import (
     tiling_check,
     dilate_set,
 )
-from groupsample.pointsets import hyperbolic_lattice
+from groupsample.pointsets import hyperbolic_lattice, _near_pairs
+
+NEAR_MODELS = [EuclideanModel(1), EuclideanModel(2), AffineModel(), HeisenbergModel()]
+
+
+def _dense_gauge(model, x, pts):
+    """Reference for the near-pair search: d[i, j] = gauge(p_j^-1 x_i) for
+    every pair."""
+    return model.gauge(model.mul(model.inv(pts)[None, :, :], x[:, None, :]))
+
+
+def _jittered(model, lo, hi, shape, jitter, seed):
+    """Grid nodes over [lo, hi) moved by up to jitter cells in internal
+    coordinates: a separated, dense test set."""
+    grid = Grid.regular(model, lo, hi, shape)
+    u = grid.nodes_internal().reshape(-1, model.dim)
+    rng = np.random.default_rng(seed)
+    u = u + jitter * grid.spacings * rng.uniform(-1, 1, size=u.shape)
+    return PointSet(model, model.from_internal(u), lo, hi)
 
 
 def test_greedy_separated_dense_certified():
@@ -131,3 +152,126 @@ def test_csv_roundtrip(tmp_path):
     ps.to_csv(path)
     back = PointSet.from_csv(path, model, lo=[0.0, 0.0], hi=[2.0, 2.0])
     assert np.allclose(np.sort(back.points, axis=0), np.sort(ps.points, axis=0))
+
+
+def test_verify_separated_affine_overlap_beyond_2s():
+    # the two 1-balls share g1 z1 = g2 z2 = (0.3716, 0.99) although their
+    # centres are at gauge distance 8.16 > 2s; the exact box decision finds it
+    model = AffineModel()
+    s = 1.0
+    g1 = np.array([1.0, 0.0])
+    z1 = np.array([math.exp(-0.99), 0.99])
+    z2 = np.array([math.exp(0.99), -0.99])
+    g2 = model.mul(model.mul(g1, z1), model.inv(z2))
+    common = model.mul(g1, z1)
+    assert np.allclose(common, [0.3716, 0.99], atol=1e-4)
+    for g in (g1, g2):
+        assert model.gauge(model.mul(model.inv(g), common)) < s
+    assert model.gauge(model.mul(model.inv(g2), g1)) > 2 * s
+    for pts in ([g1, g2], [g2, g1]):
+        cert = verify_separated(PointSet(model, np.array(pts), [-3.0, -3.0], [3.0, 3.0]), s)
+        assert not cert.passed
+
+
+def test_verify_separated_affine_disjoint_within_fast_path():
+    # centres closer than separation_distance(s), boxes disjoint in log a
+    model = AffineModel()
+    g1 = np.array([1.0, 0.0])
+    g2 = model.mul(g1, np.array([math.exp(2.01), 0.0]))
+    ps = PointSet(model, np.array([g1, g2]), [-3.0, -3.0], [3.0, 3.0])
+    assert model.gauge(model.mul(model.inv(g2), g1)) < model.separation_distance(1.0)
+    cert = verify_separated(ps, 1.0)
+    assert cert.passed
+    assert cert.detail["exact_pairs"] == 1
+
+
+@pytest.mark.parametrize("model", NEAR_MODELS, ids=lambda m: m.model_id())
+def test_near_pairs_match_dense_reference(model):
+    rng = np.random.default_rng(11)
+    grid = Grid.regular(model, [-3.0] * model.dim, [3.0] * model.dim, 9)
+    nodes = grid.points().reshape(-1, model.dim)
+    cases = [
+        (model.random_points(300, scale=2.0, rng=rng), 40, 0.3),
+        (model.random_points(200, scale=2.0, rng=rng), 60, 1.7),
+        (nodes, 50, 1.0),
+        (nodes, 25, 2.6),
+        (model.random_points(1, rng=rng), 9, 0.8),
+        (nodes[:40], 30, np.inf),
+    ]
+    for x, n_pts, r in cases:
+        pts = model.random_points(n_pts, scale=2.0, rng=rng)
+        d_ref = _dense_gauge(model, x, pts)
+        i_ref, j_ref = np.nonzero(d_ref < r)
+        i, j, d = _near_pairs(model, x, pts, r)
+        assert np.array_equal(i, i_ref)
+        assert np.array_equal(j, j_ref)
+        assert np.array_equal(d, d_ref[i_ref, j_ref])
+    # a point set against itself, as in verify_separated
+    pts = model.random_points(80, scale=2.0, rng=rng)
+    i, j, d = _near_pairs(model, pts, pts, 0.9)
+    i_ref, j_ref = np.nonzero(_dense_gauge(model, pts, pts) < 0.9)
+    assert np.array_equal(i, i_ref) and np.array_equal(j, j_ref)
+
+
+def _partition_reference(ps, w, u, shape):
+    """Dense reference of build_partition and check_invariants: the nearest
+    W-point (ties to the lower index), then the first point in enumeration
+    order whose U-ball holds the cell."""
+    grid = Grid.regular(ps.model, ps.lo, ps.hi, shape)
+    x = grid.points().reshape(-1, ps.model.dim)
+    d = _dense_gauge(ps.model, x, ps.points)
+    a = np.full(len(x), -1)
+    dd = np.where(d < w, d, np.inf)
+    in_w = np.isfinite(dd).any(axis=1)
+    a[in_w] = np.argmin(dd[in_w], axis=1)
+    for k in ps.sorted_order():
+        a[(a < 0) & (d[:, k] < u)] = k
+    return a, d
+
+
+def _invariants_reference(d, a, w, u):
+    own = d[np.arange(len(a)), a]
+    near = d < w - 1e-12
+    return {
+        "covered": bool(np.all(a >= 0)),
+        "inside_u": bool(np.all(own < u + 1e-12)),
+        "w_contained": all(np.all(a[near[:, k]] == k) for k in range(d.shape[1])),
+    }
+
+
+@pytest.mark.parametrize(
+    "model,lo,hi,shape,w,u",
+    [
+        (EuclideanModel(1), [0.0], [6.0], 12, 0.1, 0.55),
+        (EuclideanModel(2), [0.0, 0.0], [4.0, 4.0], 8, 0.1, 0.8),
+        (AffineModel(), [-1.0, -2.0], [1.0, 2.0], 6, 0.1, 1.5),
+        (HeisenbergModel(), [-2.0, -2.0, -2.0], [2.0, 2.0, 2.0], 5, 0.3, 2.2),
+    ],
+    ids=["r1", "rn2", "affine", "heis1"],
+)
+def test_partition_matches_dense_reference(model, lo, hi, shape, w, u):
+    ps = _jittered(model, lo, hi, shape, 0.3, seed=3)
+    part = build_partition(ps, w, u, shape=4 * shape + 1)
+    a_ref, d = _partition_reference(ps, w, u, 4 * shape + 1)
+    a = part.assignment.reshape(-1)
+    assert np.array_equal(a, a_ref)
+    assert part.check_invariants() == _invariants_reference(d, a, w, u)
+    assert all(part.check_invariants().values())
+    # hand a W-cell to another point: both invariants must fail as in the reference
+    cell = int(np.argmax(np.min(d, axis=1) < w))
+    part.assignment.reshape(-1)[cell] = (a[cell] + 1) % len(ps)
+    broken = part.check_invariants()
+    assert broken == _invariants_reference(d, part.assignment.reshape(-1), w, u)
+    assert not broken["w_contained"]
+
+
+@pytest.mark.parametrize("model", NEAR_MODELS, ids=lambda m: m.model_id())
+def test_verify_dense_worst_distance_exact(model):
+    lo, hi = [-2.0] * model.dim, [2.0] * model.dim
+    ps = _jittered(model, lo, hi, 4, 0.3, seed=5)
+    grid = Grid.regular(model, lo, hi, 9)
+    worst = np.max(np.min(_dense_gauge(model, grid.points().reshape(-1, model.dim), ps.points), axis=1))
+    for r, passed in ((1.05 * worst, True), (0.5 * worst, False)):
+        cert = verify_dense(ps, r, shape=9)
+        assert cert.passed is passed
+        assert cert.detail["worst_distance"] == worst
