@@ -40,6 +40,7 @@ from .analysis import (
 __version__ = "0.1.0"
 
 from .kernels import (
+    BasisKernel,
     SincKernel,
     SpectralKernel,
     sinc_kernel,

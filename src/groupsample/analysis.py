@@ -9,6 +9,7 @@ is a statement about that discrete space.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -524,6 +525,21 @@ def _lambda_max_estimate(L, iters=30, seed=0):
     return lam
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode="wb"):
+    """A temporary file beside ``path`` that replaces ``path`` on a clean
+    exit and is removed on an error: a failed or killed writer never leaves
+    a partial file at ``path``."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def sublaplacian_spectrum(
     grid: Grid,
     omega: float,
@@ -576,11 +592,8 @@ def sublaplacian_spectrum(
     proj = SpectralProjector(grid, omega, vals, vecs)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        np.savez_compressed(
-            os.path.join(cache_dir, key + ".npz"),
-            vals=vals,
-            vecs=proj.basis_matrix(),
-        )
+        with _atomic_open(os.path.join(cache_dir, key + ".npz")) as fh:
+            np.savez_compressed(fh, vals=vals, vecs=proj.basis_matrix())
     return proj
 
 
@@ -691,7 +704,9 @@ def estimate_constants(
     All values are empirical: the Sobolev constant is a maximum over a test
     family (a lower bound of the optimal constant), the mean-value factor is
     the smallest scanned dilation with no observed violation, and the
-    Bernstein norms are maxima over the retained eigenbasis.
+    Bernstein norms are maxima over the retained eigenbasis.  When every
+    scanned dilation shows a violation, the last one is used and
+    ``metadata["b_verified"]`` is False.
     """
     model = grid.model
     n = model.dim
@@ -721,6 +736,7 @@ def estimate_constants(
     radii = rng.uniform(0.2, 1.0, size=4) * rmax
 
     b_est = b_scan[-1]
+    b_verified = False
     for b_try in b_scan:
         ok = True
         for fi, f in enumerate(family):
@@ -749,6 +765,7 @@ def estimate_constants(
                 break
         if ok:
             b_est = b_try
+            b_verified = True
             break
 
     # --- local Sobolev constant for (K, U) = (B_b, B_2b) ------------------
@@ -793,6 +810,7 @@ def estimate_constants(
             "family_size": len(family),
             "eigen_dim": proj_e1.dim,
             "seed": seed,
+            "b_verified": b_verified,
         },
     )
 

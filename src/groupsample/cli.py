@@ -48,6 +48,7 @@ from .analysis import (
     random_bandlimited,
     estimate_constants,
     oscillation_scaling_check,
+    _atomic_open,
 )
 from .kernels import sinc_kernel, mexican_hat, cosine_taper_bump, mollified_vector
 from .frames import (
@@ -292,22 +293,27 @@ def _h1_projector(cfg, tracker):
 
 
 def _cached_c_g(grid, proj, tracker):
+    """Constants of ``estimate_constants`` through the cache directory.
+    ``b_verified`` is None when read from a file written without it."""
     key = f"constants-{grid.content_hash()[:16]}-{proj.omega:.6g}.json"
     path = os.path.join(tracker.dir, key)
     if os.path.exists(path):
         tracker.hits += 1
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
+        data.setdefault("b_verified", None)
+        return data
     tracker.misses += 1
     est = estimate_constants(grid, proj)
     data = {
         "c_g": est.c_g,
         "c_ku": est.c_ku,
         "b": est.b,
+        "b_verified": est.metadata["b_verified"],
         "ball_volume_1": est.ball_volume_1,
         "bernstein_norms": {str(k): v for k, v in est.bernstein_norms.items()},
     }
-    with open(path, "w") as fh:
+    with _atomic_open(path, "w") as fh:
         json.dump(data, fh, sort_keys=True)
     return data
 
@@ -663,14 +669,16 @@ def _exp_constants(cfg, tracker):
     ratio = haar_scaling_ratio(model, t=t, seed=cfg.seed)
     checks.append(_check("haar-scaling", abs(ratio / t**4 - 1.0) < cfg.tol("tol_haar", 1e-2),
                          ratio=ratio, expected=t**4))
-    c_g = _cached_c_g(grid, proj, tracker)["c_g"]
+    consts = _cached_c_g(grid, proj, tracker)
+    c_g = consts["c_g"]
     scal = oscillation_scaling_check(proj, (0.1, 0.2, 0.4), c_g, seed=cfg.seed)
     rows = [
         {"r": row["r"], "max_ratio": row["max_ratio"],
          "ratio_over_r": row["max_ratio"] / row["r"], "bound": row["r"] * c_g}
         for row in scal["rows"]
     ]
-    checks.append(_check("osc-scaling-bound", scal["bound_satisfied"], c_g=c_g))
+    checks.append(_check("osc-scaling-bound", scal["bound_satisfied"], c_g=c_g,
+                         b_verified=consts["b_verified"]))
     checks.append(_check("osc-scaling-linearity",
                          scal["ratio_over_r_spread"] < cfg.tol("tol_spread", 0.25),
                          spread=scal["ratio_over_r_spread"], slope=scal["slope"],

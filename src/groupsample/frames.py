@@ -17,14 +17,13 @@ import numpy as np
 
 from .grids import Grid, GridFunction
 from .groups import EuclideanModel, HeisenbergModel
-from .pointsets import PointSet, Partition, verify_separated, verify_dense, dilate_set
+from .pointsets import PointSet, Partition, verify_separated, verify_dense
 from .analysis import (
     SpectralProjector,
     oscillation,
     random_bandlimited,
     ball_volume,
     projector_dilation_angle,
-    sublaplacian_spectrum,
 )
 
 __all__ = [
@@ -89,15 +88,6 @@ class FrameSystem:
     def sample(self, f: GridFunction) -> np.ndarray:
         """Restriction of f to Gamma by interpolation (exact on nodes)."""
         return f.at(self.pointset.points)
-
-    def sample_coeffs(self, coeffs) -> np.ndarray:
-        """Samples of the space element with the given basis coefficients."""
-        return self.V.T @ np.asarray(coeffs)
-
-    def frame_apply(self, f: GridFunction) -> GridFunction:
-        """S f = sum_gamma f(gamma) p_gamma, computed inside H."""
-        c = self.kernel.coefficients(f)
-        return self.kernel.synthesize(self.M @ c)
 
     def estimate_bounds(self, method: str = "auto", tol: float = 1e-6, maxiter: int = 5000) -> FrameBounds:
         if method == "auto":

@@ -201,10 +201,6 @@ class GridFunction:
             v = np.where(mask, v, 0.0)
         return float(v.max())
 
-    def norms(self):
-        """(L1, L2, sup) by weighted quadrature."""
-        return self.norm_l1(), self.norm_l2(), self.norm_sup()
-
     def inner(self, other: "GridFunction") -> complex:
         if self.grid != other.grid:
             raise ValueError("grid mismatch")
@@ -260,12 +256,3 @@ class GridFunction:
             )
             values = np.frombuffer(fh.read(), dtype="<c16").reshape(grid.shape)
         return cls(grid, values.copy())
-
-    def to_csv(self, path):
-        pts = self.grid.points().reshape(-1, self.grid.dim)
-        vals = self.values.reshape(-1)
-        cols = [pts[:, i] for i in range(self.grid.dim)] + [vals.real, vals.imag]
-        header = ",".join(
-            [f"x{i}" for i in range(self.grid.dim)] + ["re", "im"]
-        )
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")

@@ -29,10 +29,6 @@ __all__ = [
 ]
 
 
-class ModelMismatchError(ValueError):
-    """Operands belong to different group models."""
-
-
 class UnsupportedModelError(ValueError):
     """Operation requires structure (dilations, homogeneous norm) the model lacks."""
 
@@ -64,12 +60,6 @@ class GroupModel:
 
     def inv(self, g) -> np.ndarray:
         raise NotImplementedError
-
-    def check_same(self, other: "GroupModel") -> None:
-        if self.model_id() != other.model_id():
-            raise ModelMismatchError(
-                f"model mismatch: {self.model_id()} vs {other.model_id()}"
-            )
 
     # -- metric structure ----------------------------------------------------
 

@@ -2,10 +2,13 @@
 (sinc) spaces on R^n, spectral-projection spaces on H1, and the wavelet
 range space on the affine group.
 
-Each kernel exposes the same discrete interface: an orthonormal basis of the
-space (evaluable at arbitrary chart points), the orthogonal projection onto
-the space, and reproducing vectors p_x.  The frame layer consumes only this
-interface.
+The sinc and spectral kernels share one discrete interface,
+:class:`BasisKernel`: an orthonormal basis of the space (evaluable at
+arbitrary chart points through ``basis_at``, and on the grid nodes as the
+matrix ``basis_matrix``), the orthogonal projection onto the space, and
+reproducing vectors p_x.  Coefficients, synthesis and reproducing vectors
+are read off the basis matrix, which each kernel builds at most once.  The
+frame layer consumes only this interface.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .groups import EuclideanModel, AffineModel
 from .analysis import SpectralProjector
 
 __all__ = [
+    "BasisKernel",
     "SincKernel",
     "SpectralKernel",
     "sinc_kernel",
@@ -35,7 +39,34 @@ __all__ = [
 ]
 
 
-class SincKernel:
+class BasisKernel:
+    """Space spanned by an orthonormal basis B of shape (dim, n_nodes).
+
+    Subclasses supply ``grid``, ``dim``, ``project``, ``basis_at`` (basis
+    values at chart points, shape (dim, n_points)) and ``basis_matrix``
+    (the basis on the grid nodes).
+    """
+
+    def coefficients(self, f: GridFunction) -> np.ndarray:
+        w = self.grid.weights().reshape(-1)
+        return np.conj(self.basis_matrix()) @ (w * f.values.reshape(-1))
+
+    def synthesize(self, coeffs) -> GridFunction:
+        vals = np.tensordot(np.asarray(coeffs), self.basis_matrix(), axes=(0, 0))
+        return GridFunction(self.grid, vals.reshape(self.grid.shape))
+
+    def reproducing_vector(self, x) -> GridFunction:
+        x = np.asarray(x, dtype=float).reshape(1, self.grid.dim)
+        return self.synthesize(np.conj(self.basis_at(x)[:, 0]))
+
+    def membership_defect(self, f: GridFunction) -> float:
+        nrm = f.norm_l2()
+        if nrm == 0:
+            return 0.0
+        return (self.project(f) - f).norm_l2() / nrm
+
+
+class SincKernel(BasisKernel):
     """Band-limited space on a Euclidean grid: modes with |nu_d| < band.
 
     The band is half-open (strict inequality), so the critical integer
@@ -60,6 +91,7 @@ class SincKernel:
             mask &= np.abs(f) < band
         self.mask = mask
         self.freqs = np.stack([f[mask] for f in mesh], axis=-1)  # (m, dim) cycles
+        self._basis = None
 
     @property
     def dim(self) -> int:
@@ -78,35 +110,15 @@ class SincKernel:
         return np.exp(2j * np.pi * phase) / math.sqrt(vol)
 
     def basis_matrix(self) -> np.ndarray:
-        return self.basis_at(self.grid.points().reshape(-1, self.grid.dim))
-
-    def reproducing_vector(self, x) -> GridFunction:
-        x = np.asarray(x, dtype=float).reshape(1, self.grid.dim)
-        e_x = self.basis_at(x)[:, 0]
-        vals = self.basis_matrix().T @ np.conj(e_x)
-        return GridFunction(self.grid, vals.reshape(self.grid.shape))
-
-    def synthesize(self, coeffs) -> GridFunction:
-        vals = self.basis_matrix().T @ np.asarray(coeffs)
-        return GridFunction(self.grid, vals.reshape(self.grid.shape))
-
-    def coefficients(self, f: GridFunction) -> np.ndarray:
-        w = self.grid.weights().reshape(-1)
-        return np.conj(self.basis_matrix()) @ (w * f.values.reshape(-1))
-
-    def profile_at(self, points_chart) -> np.ndarray:
-        """The continuum kernel profile prod_d 2*band*sinc(2*band*x_d)."""
-        pts = np.asarray(points_chart, dtype=float).reshape(-1, self.grid.dim)
-        return np.prod(2.0 * self.band * np.sinc(2.0 * self.band * pts), axis=-1)
-
-    def membership_defect(self, f: GridFunction) -> float:
-        nrm = f.norm_l2()
-        if nrm == 0:
-            return 0.0
-        return (self.project(f) - f).norm_l2() / nrm
+        """The basis on the grid nodes, built on first use; read-only."""
+        if self._basis is None:
+            basis = self.basis_at(self.grid.points().reshape(-1, self.grid.dim))
+            basis.setflags(write=False)
+            self._basis = basis
+        return self._basis
 
 
-class SpectralKernel:
+class SpectralKernel(BasisKernel):
     """Reproducing kernel of a discrete sub-Laplacian band space."""
 
     kind = "spectral"
@@ -131,24 +143,6 @@ class SpectralKernel:
 
     def basis_matrix(self) -> np.ndarray:
         return self.proj.basis_matrix()
-
-    def synthesize(self, coeffs) -> GridFunction:
-        return self.proj.synthesize(coeffs)
-
-    def coefficients(self, f: GridFunction) -> np.ndarray:
-        return self.proj.coefficients(f)
-
-    def reproducing_vector(self, x) -> GridFunction:
-        x = np.asarray(x, dtype=float).reshape(1, self.grid.dim)
-        e_x = self.basis_at(x)[:, 0]
-        vals = np.tensordot(np.conj(e_x), self.proj.eigenvectors, axes=(0, 0))
-        return GridFunction(self.grid, vals)
-
-    def membership_defect(self, f: GridFunction) -> float:
-        nrm = f.norm_l2()
-        if nrm == 0:
-            return 0.0
-        return (self.project(f) - f).norm_l2() / nrm
 
 
 def sinc_kernel(grid: Grid, band: float) -> SincKernel:

@@ -8,7 +8,6 @@ deterministic (fixed enumeration order: homogeneous norm, then lexicographic).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -83,24 +82,6 @@ class Certificate:
     witness: object = None
     n_checked: int = 0
     detail: dict = field(default_factory=dict)
-
-    def to_json(self):
-        wit = self.witness
-        if isinstance(wit, np.ndarray):
-            wit = wit.tolist()
-        elif isinstance(wit, tuple):
-            wit = [w.tolist() if isinstance(w, np.ndarray) else w for w in wit]
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "radius": self.radius,
-                "passed": bool(self.passed),
-                "witness": wit,
-                "n_checked": self.n_checked,
-                **self.detail,
-            }
-        )
-
 
 # relative padding of the candidate boxes, so that rounding in the gauge never
 # finds a pair within r that the box left out
@@ -319,20 +300,6 @@ class Partition:
         near = d < w_tol
         w_ok = bool(np.all(j[near] == a[i[near]]))
         return {"covered": covered, "inside_u": inside_u, "w_contained": w_ok}
-
-    def to_json(self):
-        meas = self.cell_measures()
-        return json.dumps(
-            {
-                "n_points": len(self.pointset),
-                "w_radius": self.w_radius,
-                "u_radius": self.u_radius,
-                "grid_shape": list(self.grid.shape),
-                "cell_measures": meas.tolist(),
-                **{k: bool(v) for k, v in self.check_invariants().items()},
-            }
-        )
-
 
 def _first_per_cell(i, j, key):
     """For each distinct cell i of the pairs (i, j), the j with the smallest

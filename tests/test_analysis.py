@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import groupsample.analysis as analysis
+
 from groupsample import (
     EuclideanModel,
     HeisenbergModel,
@@ -16,6 +18,7 @@ from groupsample import (
     random_bandlimited,
     oscillation_scaling_check,
     ball_volume,
+    estimate_constants,
 )
 from groupsample.analysis import homogeneity_degree, projector_dilation_angle
 
@@ -147,3 +150,49 @@ def test_scaling_check_rejects_large_radius(h1_proj):
 def test_dilation_angle_small(h1_proj, cache_dir):
     angle = projector_dilation_angle(h1_proj, 2.0**-0.25, cache_dir=cache_dir)
     assert angle <= 5e-2
+
+
+def _broken_savez(file, **arrays):
+    """Writes the start of an archive, then fails like a full disk."""
+    if isinstance(file, str):
+        with open(file, "wb") as fh:
+            fh.write(b"PK\x03\x04 partial")
+    else:
+        file.write(b"PK\x03\x04 partial")
+    raise OSError("no space left on device")
+
+
+def test_spectrum_cache_write_is_atomic(tmp_path, monkeypatch):
+    grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
+    monkeypatch.setattr(analysis.np, "savez_compressed", _broken_savez)
+    with pytest.raises(OSError):
+        sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+    # neither the final file nor the temporary one is left behind
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    proj = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+    assert proj.dim > 0
+    assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
+    again = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+    assert np.array_equal(again.eigenvalues, proj.eigenvalues)
+
+
+def test_estimate_constants_flags_unverified_b(tmp_path):
+    grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
+    proj = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+    est = estimate_constants(grid, proj, b_scan=(0.5, 1.0))
+    assert est.metadata["b_verified"] is False
+    assert est.b == 1.0
+
+
+def test_estimate_constants_flags_verified_b(tmp_path, monkeypatch):
+    # with derivative fields far above any difference quotient every b
+    # passes, so the first scanned one is taken and verified
+    grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
+    proj = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+    monkeypatch.setattr(
+        analysis, "vector_field_apply", lambda j, f: GridFunction(f.grid, np.full(f.grid.shape, 1e6))
+    )
+    est = estimate_constants(grid, proj, b_scan=(0.5, 1.0))
+    assert est.metadata["b_verified"] is True
+    assert est.b == 0.5

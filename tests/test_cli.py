@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import groupsample.cli as cli
+from groupsample import ConstantEstimates, Grid, HeisenbergModel, SpectralProjector
 from groupsample.cli import (
     ConfigError,
     ExperimentConfig,
@@ -164,3 +168,48 @@ def test_run_experiment_reports_every_check_once(tmp_path):
     names = [c["name"] for c in report["checks"]]
     assert len(names) == len(set(names))
     assert len(rows) == 5
+
+
+def test_constants_cache_write_is_atomic(tmp_path, monkeypatch):
+    grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
+    proj = SpectralProjector(grid, 1.0, np.zeros(1), np.ones((1,) + grid.shape))
+    est = ConstantEstimates(
+        c_ku=1.0, b=3.0, bernstein_norms={(1, 0, 0): 1.0}, degrees={(1, 0, 0): 1},
+        ball_volume_1=1.0, c_g=2.5, metadata={"b_verified": False},
+    )
+    monkeypatch.setattr(cli, "estimate_constants", lambda grid, proj: est)
+    tracker = cli.CacheTracker(str(tmp_path))
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"c_g": ')
+        raise OSError("no space left on device")
+
+    with monkeypatch.context() as m, pytest.raises(OSError):
+        m.setattr(json, "dump", broken_dump)
+        cli._cached_c_g(grid, proj, tracker)
+    assert list(tmp_path.iterdir()) == []
+
+    data = cli._cached_c_g(grid, proj, tracker)
+    assert (data["c_g"], data["b_verified"]) == (2.5, False)
+    (path,) = tmp_path.iterdir()
+    assert cli._cached_c_g(grid, proj, tracker) == data
+    assert (tracker.misses, tracker.hits) == (2, 1)
+
+    # a file written before the flag existed reports it as unknown
+    old = json.loads(path.read_text())
+    del old["b_verified"]
+    path.write_text(json.dumps(old))
+    assert cli._cached_c_g(grid, proj, tracker)["b_verified"] is None
+
+
+def test_import_loads_no_scipy_signal_or_spatial():
+    # import-time cost: neither subpackage is needed to import the library
+    code = (
+        "import sys, groupsample; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.spatial') if m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,9 @@ import pytest
 
 from groupsample import EuclideanModel, AffineModel, Grid, GridFunction
 from groupsample.kernels import (
+    BasisKernel,
+    SincKernel,
+    SpectralKernel,
     sinc_kernel,
     spectral_kernel,
     admissibility_constant,
@@ -143,3 +146,71 @@ def test_spectral_kernel_wraps_projector(h1_proj):
 
     f = random_bandlimited(h1_proj, seed=2)
     assert k.membership_defect(f) < 1e-8
+
+
+def test_sinc_shared_base_matches_per_kernel_expressions():
+    # reference: the expressions SincKernel evaluated before it shared
+    # BasisKernel, written out on a freshly built basis
+    grid = Grid.regular(EuclideanModel(1), [-16.0], [16.0], (512,))
+    k = sinc_kernel(grid, 0.5)
+    B = k.basis_at(grid.points().reshape(-1, 1))
+    w = grid.weights().reshape(-1)
+    rng = np.random.default_rng(3)
+    c_real = rng.standard_normal(k.dim)
+    c_cplx = c_real + 1j * rng.standard_normal(k.dim)
+    for c in (c_real, c_cplx):
+        assert np.array_equal(k.synthesize(c).values, (B.T @ c).reshape(grid.shape))
+    f = GridFunction.from_callable(grid, lambda x: np.exp(-(x**2) / 8.0))
+    assert np.array_equal(k.coefficients(f), np.conj(B) @ (w * f.values.reshape(-1)))
+    for x in (0.3, -4.7):
+        e_x = k.basis_at([[x]])[:, 0]
+        ref = (B.T @ np.conj(e_x)).reshape(grid.shape)
+        assert np.array_equal(k.reproducing_vector(x).values, ref)
+
+
+def test_spectral_kernel_matches_projector_exactly(h1_proj):
+    k = spectral_kernel(h1_proj)
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(k.dim) + 1j * rng.standard_normal(k.dim)
+    assert np.array_equal(k.synthesize(c).values, h1_proj.synthesize(c).values)
+    f = h1_proj.synthesize(c)
+    assert np.array_equal(k.coefficients(f), h1_proj.coefficients(f))
+    x = [0.4, -1.1, 0.7]
+    e_x = k.basis_at([x])[:, 0]
+    ref = np.tensordot(np.conj(e_x), h1_proj.eigenvectors, axes=(0, 0))
+    assert np.array_equal(k.reproducing_vector(x).values, ref)
+
+
+def test_kernels_share_one_base():
+    for cls in (SincKernel, SpectralKernel):
+        assert issubclass(cls, BasisKernel)
+        for name in ("coefficients", "synthesize", "reproducing_vector", "membership_defect"):
+            assert name not in vars(cls)
+        for name in ("basis_at", "basis_matrix", "project", "dim"):
+            assert name in vars(cls)
+
+
+def test_sinc_basis_built_once_and_read_only(monkeypatch):
+    grid = Grid.regular(EuclideanModel(1), [-16.0], [16.0], (512,))
+    k = sinc_kernel(grid, 0.5)
+    widths = []
+    basis_at = SincKernel.basis_at
+
+    def counting(self, pts):
+        out = basis_at(self, pts)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(SincKernel, "basis_at", counting)
+    f = GridFunction.from_callable(grid, lambda x: np.exp(-(x**2) / 8.0))
+    c = np.ones(k.dim)
+    for _ in range(3):
+        k.synthesize(c)
+        k.coefficients(f)
+        k.reproducing_vector(0.3)
+    assert widths.count(512) == 1
+    B = k.basis_matrix()
+    assert B is k.basis_matrix()
+    assert not B.flags.writeable
+    with pytest.raises(ValueError):
+        B[0, 0] = 0.0
