@@ -29,7 +29,6 @@ from .analysis import (
     apply_multiindex,
     sublaplacian_matrix,
     sublaplacian_spectrum,
-    SpectralProjector,
     random_bandlimited,
     estimate_constants,
     ConstantEstimates,
@@ -42,9 +41,8 @@ __version__ = "0.1.0"
 from .kernels import (
     BasisKernel,
     SincKernel,
-    SpectralKernel,
+    SpectralProjector,
     sinc_kernel,
-    spectral_kernel,
     admissibility_constant,
     mexican_hat,
     wavelet_transform,

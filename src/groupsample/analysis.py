@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .grids import Grid, GridFunction, interpolate
 from .groups import EuclideanModel, HeisenbergModel, AffineModel, UnsupportedModelError
+from .kernels import SpectralProjector
 
 __all__ = [
     "convolve",
@@ -31,7 +32,6 @@ __all__ = [
     "homogeneity_degree",
     "sublaplacian_matrix",
     "sublaplacian_spectrum",
-    "SpectralProjector",
     "random_bandlimited",
     "estimate_constants",
     "ConstantEstimates",
@@ -209,21 +209,13 @@ def _integer_shift(values, shift):
     return out
 
 
-def oscillation(
-    f: GridFunction,
-    r: float,
-    offsets=None,
-    n_dirs: int = 32,
-    points_internal=None,
-) -> GridFunction | np.ndarray:
+def oscillation(f: GridFunction, r: float, offsets=None, n_dirs: int = 32) -> GridFunction:
     """Discrete modulus of continuity sup_{y in B_r} |f(x) - f(x y^-1)|.
 
     The sup runs over a deterministic sample of the ball (node offsets plus
     interpolated boundary shells); it is therefore an under-estimate of the
     continuum sup, which every inequality check here accounts for.  Explicit
-    ``offsets`` (chart coordinates) override the ball sample.  With
-    ``points_internal`` the oscillation is returned only at those points (as
-    a plain array) instead of on the whole grid.
+    ``offsets`` (chart coordinates) override the ball sample.
     """
     if r <= 0:
         raise ValueError("oscillation radius must be positive")
@@ -235,8 +227,7 @@ def oscillation(
     if len(offsets) == 0:
         raise ValueError("empty oscillation offset sample")
 
-    on_grid = points_internal is None
-    if on_grid and isinstance(model, EuclideanModel):
+    if isinstance(model, EuclideanModel):
         # exact node-shift fast path for lattice-aligned offsets
         out = np.zeros(grid.shape)
         rest = []
@@ -259,21 +250,15 @@ def oscillation(
             out = acc.reshape(grid.shape)
         return GridFunction(grid, out)
 
-    if on_grid:
-        pts_int = grid.nodes_internal().reshape(-1, grid.dim)
-        base = f.values.reshape(-1)
-    else:
-        pts_int = np.asarray(points_internal, dtype=float).reshape(-1, grid.dim)
-        base = interpolate(f.values, grid, pts_int)
+    pts_int = grid.nodes_internal().reshape(-1, grid.dim)
+    base = f.values.reshape(-1)
     x = model.from_internal(pts_int)
     out = np.zeros(len(pts_int))
     for y in offsets:
         q = model.mul(x, model.inv(y))
         fv = interpolate(f.values, grid, model.to_internal(q))
         np.maximum(out, np.abs(base - fv), out=out)
-    if on_grid:
-        return GridFunction(grid, out.reshape(grid.shape))
-    return out
+    return GridFunction(grid, out.reshape(grid.shape))
 
 
 def osc_conv_check(
@@ -479,35 +464,6 @@ def sublaplacian_matrix(grid: Grid) -> sp.csr_matrix:
         contrib = (X.T @ X + sp.diags(penalty.reshape(-1))).tocsr()
         L = contrib if L is None else L + contrib
     return L.tocsr()
-
-
-@dataclass
-class SpectralProjector:
-    """Retained eigenpairs of the discrete sub-Laplacian up to bandwidth omega."""
-
-    grid: Grid
-    omega: float
-    eigenvalues: np.ndarray  # ascending, all <= omega
-    eigenvectors: np.ndarray  # shape (m, *grid.shape), orthonormal in the weighted inner product
-    boundary_condition: str = "dirichlet"
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    def basis_matrix(self) -> np.ndarray:
-        return self.eigenvectors.reshape(self.dim, -1)
-
-    def coefficients(self, f: GridFunction) -> np.ndarray:
-        w = self.grid.weights().reshape(-1)
-        return self.basis_matrix().conj() @ (w * f.values.reshape(-1))
-
-    def synthesize(self, coeffs) -> GridFunction:
-        vals = np.tensordot(np.asarray(coeffs), self.eigenvectors, axes=(0, 0))
-        return GridFunction(self.grid, vals)
-
-    def project(self, f: GridFunction) -> GridFunction:
-        return self.synthesize(self.coefficients(f))
 
 
 def _lambda_max_estimate(L, iters=30, seed=0):

@@ -279,17 +279,13 @@ def _random_smooth(grid, seed, spread, widths=(0.6, 1.6)):
     return GridFunction(grid, vals)
 
 
-def _h1_grid(cfg, half=7.0):
-    model = HeisenbergModel()
+def _h1_projector(cfg, tracker, half=7.0):
+    """Band projector at omega (default 1) on the resolution^3 grid (default
+    33) over the chart box [-half, half)^3, through the cache."""
     n = cfg.resolution if cfg.resolution is not None else 33
-    return model, Grid.regular(model, [-half] * 3, [half] * 3, (n,) * 3)
-
-
-def _h1_projector(cfg, tracker):
-    model, grid = _h1_grid(cfg)
+    grid = Grid.regular(HeisenbergModel(), [-half] * 3, [half] * 3, (n,) * 3)
     omega = cfg.omega if cfg.omega is not None else 1.0
-    proj = tracker.run(lambda: sublaplacian_spectrum(grid, omega, cache_dir=tracker.dir))
-    return model, grid, omega, proj
+    return tracker.run(lambda: sublaplacian_spectrum(grid, omega, cache_dir=tracker.dir))
 
 
 def _cached_c_g(grid, proj, tracker):
@@ -353,19 +349,25 @@ def commutator_residual(n=121, half=5.0, width=2.0, ring=12):
 # ---------------------------------------------------------------------------
 
 
+def _shannon_kernel(n):
+    """Band-1/2 sinc kernel on n nodes over [-64, 64)."""
+    return sinc_kernel(Grid.regular(EuclideanModel(1), [-64.0], [64.0], (n,)), 0.5)
+
+
+def _gap_lattice(gap, half=64.0):
+    """The multiples of gap in [-half, half).  They cover the whole box: the
+    modes are periodic, so a sample-free border would admit a concentrated
+    near-null vector."""
+    return np.arange(math.ceil(-half / gap), math.ceil(half / gap)) * gap
+
+
 def _exp_shannon(cfg, tracker):
-    model = EuclideanModel(1)
-    grid = Grid.regular(model, [-64.0], [64.0], (8192,))
-    kernel = sinc_kernel(grid, 0.5)
+    kernel = _shannon_kernel(8192)
+    model = kernel.grid.model
     rng = np.random.default_rng(cfg.seed)
 
     def bounds_at(gap):
-        # cover the whole box: the modes are periodic, so a sample-free
-        # border would admit a concentrated near-null vector
-        k = math.ceil(-64.0 / gap)
-        k1 = math.ceil(64.0 / gap) - 1
-        pts = (np.arange(k, k1 + 1) * gap)[:, None]
-        ps = PointSet(model, pts, [-64.0], [64.0])
+        ps = PointSet(model, _gap_lattice(gap)[:, None], [-64.0], [64.0])
         return FrameSystem(kernel, ps), ps
 
     checks, rows = [], []
@@ -423,18 +425,21 @@ def _exp_shannon(cfg, tracker):
     return checks, ("r", "a", "b", "tightness"), rows, ps_c
 
 
-def _exp_beurling(cfg, tracker):
-    model = EuclideanModel(1)
+def _beurling_kernel(cfg):
+    """omega (default pi^2) and the sinc kernel of band sqrt(omega) / 2 pi
+    on [-32, 32); raises when the grid does not resolve the band."""
     omega = cfg.omega if cfg.omega is not None else math.pi**2
     band = math.sqrt(omega) / (2.0 * math.pi)
-    grid = Grid.regular(model, [-32.0], [32.0], (2048,))
+    grid = Grid.regular(EuclideanModel(1), [-32.0], [32.0], (2048,))
     if band >= 0.5 / grid.spacings[0] / 2.0:
         raise ConfigError("omega too large for the scan grid: lower omega or refine")
-    kernel = sinc_kernel(grid, band)
+    return omega, sinc_kernel(grid, band)
+
+
+def _exp_beurling(cfg, tracker):
+    omega, kernel = _beurling_kernel(cfg)
     targets = (1.0, 1.4, 2.0, 2.8, 3.5)
-    # margin 0: the kernel modes are periodic on the box, so sampling the
-    # full box avoids an unsampled border that fakes a near-null vector
-    rows = beurling_scan(kernel, [x / math.sqrt(omega) for x in targets], margin=0.0)
+    rows = beurling_scan(kernel, [x / math.sqrt(omega) for x in targets])
     table = []
     for x, row in zip(targets, rows):
         table.append({"r_sqrt_omega": x, "r": row["r"], "a": row["a"], "b": row["b"],
@@ -496,15 +501,21 @@ def _exp_wavelet(cfg, tracker):
     return checks, ("sigma", "a", "b", "tightness", "n_points"), rows, pointset
 
 
-def _exp_heisenberg(cfg, tracker):
-    model, grid, omega, proj = _h1_projector(cfg, tracker)
-    c_g = _cached_c_g(grid, proj, tracker)["c_g"]
+def _heisenberg_report(cfg, tracker):
+    """``heisenberg_sampling_experiment`` over the cached projector and C_G,
+    at x = r sqrt(omega) C_G given by r (default just below 1)."""
     x_target = cfg.r if cfg.r is not None else 1.0 - 5e-6
     if not 0 < x_target < 1:
         raise ConfigError("r plays the role of x = r sqrt(omega) C_G here: need 0 < r < 1")
-    rep = heisenberg_sampling_experiment(
+    proj = _h1_projector(cfg, tracker)
+    c_g = _cached_c_g(proj.grid, proj, tracker)["c_g"]
+    return heisenberg_sampling_experiment(
         proj, c_g, x_target=x_target, seed=cfg.seed, cache_dir=tracker.dir
     )
+
+
+def _exp_heisenberg(cfg, tracker):
+    rep = _heisenberg_report(cfg, tracker)
     rows = [
         {"k": k, "ratio": ratio, "a_pred": rep["a_pred"]}
         for k, ratio in enumerate(rep["ratios"])
@@ -512,7 +523,7 @@ def _exp_heisenberg(cfg, tracker):
     checks = [
         _check("lower-ratio-vs-prediction", rep["guaranteed_pass"],
                ratio_min=rep["ratio_min"], a_pred=rep["a_pred"], dilation=rep["dilation"],
-               c_g=c_g, a_pred_alt_placement=rep["a_pred_alt_placement"]),
+               c_g=rep["c_g"], a_pred_alt_placement=rep["a_pred_alt_placement"]),
         _check("dilation-covariance-angle",
                rep["dilation_angle"] <= cfg.tol("tol_angle", 5e-2),
                angle=rep["dilation_angle"]),
@@ -520,73 +531,72 @@ def _exp_heisenberg(cfg, tracker):
     return checks, ("k", "ratio", "a_pred"), rows, None
 
 
+def _partition_r1(cfg, tracker, u, w):
+    model = EuclideanModel(1)
+    kernel = sinc_kernel(Grid.regular(model, [-32.0], [32.0], (2048,)), 0.5)
+
+    def points(k):
+        return _jittered_gamma_r(model, cfg.seed + 10 * k, u, w)
+
+    def funcs(k):
+        rng = np.random.default_rng(500 + cfg.seed + k)
+        return [kernel.synthesize(rng.standard_normal(kernel.dim)) for _ in range(2)]
+
+    return points, funcs, 1024, 2048
+
+
+def _partition_heis1(cfg, tracker, u, w):
+    proj = _h1_projector(cfg, tracker)
+
+    def points(k):
+        return _h1_jittered_lattice(proj.grid.model, cfg.seed + 10 * k)
+
+    def funcs(k):
+        return [random_bandlimited(proj, seed=700 + cfg.seed + 2 * k + j) for j in range(2)]
+
+    return points, funcs, 17, proj.grid.shape[0]
+
+
+# model -> (default U radius r, default W radius s, bound tolerance, setup);
+# the setup returns the k-th point set, the k-th pair of test functions, and
+# the grid shapes of the density check and of the partition
+_PARTITION_MODELS = {
+    "r1": (0.25, 0.08, 1e-6, _partition_r1),
+    "heis1": (2.6, 0.4, 1e-4, _partition_heis1),
+}
+
+
 def _exp_partition(cfg, tracker):
     model_id = cfg.model or "r1"
+    if model_id not in _PARTITION_MODELS:
+        raise ConfigError("partition experiment runs on model r1 or heis1")
+    u, w, tol, setup = _PARTITION_MODELS[model_id]
+    u = cfg.r if cfg.r is not None else u
+    w = cfg.s if cfg.s is not None else w
+    tol = cfg.tol("tol_bound", tol)
+    points, funcs, dense_shape, partition_shape = setup(cfg, tracker, u, w)
     rows = []
     cert_ok = inv_ok = True
     worst = -math.inf
-    if model_id == "r1":
-        model = EuclideanModel(1)
-        grid = Grid.regular(model, [-32.0], [32.0], (2048,))
-        kernel = sinc_kernel(grid, 0.5)
-        u = cfg.r if cfg.r is not None else 0.25
-        w = cfg.s if cfg.s is not None else 0.08
-        tol = cfg.tol("tol_bound", 1e-6)
-        per_cfg_funcs = 2
-        last_ps = None
-        for k in range(10):
-            ps = _jittered_gamma_r(model, cfg.seed + 10 * k, u, w)
-            cs = verify_separated(ps, w)
-            cd = verify_dense(ps, u, shape=1024)
-            part = build_partition(ps, w, u, shape=2048)
-            inv = part.check_invariants()
-            cert_ok &= cs.passed and cd.passed
-            inv_ok &= all(inv.values())
-            rng = np.random.default_rng(500 + cfg.seed + k)
-            for j in range(per_cfg_funcs):
-                f = kernel.synthesize(rng.standard_normal(kernel.dim))
-                q = quasi_interpolate(f.at(ps.points), part)
-                lhs = (f - q).norm_l2()
-                rhs = oscillation(f, u).norm_l2()
-                worst = max(worst, lhs - rhs)
-                rows.append({"config": k, "func": j, "lhs": lhs, "rhs": rhs,
-                             "margin": rhs - lhs})
-            last_ps = ps
-        pointset = last_ps
-    elif model_id == "heis1":
-        model, grid = _h1_grid(cfg)
-        omega = cfg.omega if cfg.omega is not None else 1.0
-        proj = tracker.run(lambda: sublaplacian_spectrum(grid, omega, cache_dir=tracker.dir))
-        u = cfg.r if cfg.r is not None else 2.6
-        w = cfg.s if cfg.s is not None else 0.4
-        tol = cfg.tol("tol_bound", 1e-4)
-        last_ps = None
-        for k in range(10):
-            ps = _h1_jittered_lattice(model, cfg.seed + 10 * k)
-            cs = verify_separated(ps, w)
-            cd = verify_dense(ps, u, shape=17)
-            part = build_partition(ps, w, u, shape=grid.shape[0])
-            inv = part.check_invariants()
-            cert_ok &= cs.passed and cd.passed
-            inv_ok &= all(inv.values())
-            for j in range(2):
-                f = random_bandlimited(proj, seed=700 + cfg.seed + 2 * k + j)
-                q = quasi_interpolate(f.at(ps.points), part)
-                lhs = (f - q).norm_l2()
-                rhs = oscillation(f, u).norm_l2()
-                worst = max(worst, lhs - rhs)
-                rows.append({"config": k, "func": j, "lhs": lhs, "rhs": rhs,
-                             "margin": rhs - lhs})
-            last_ps = ps
-        pointset = last_ps
-    else:
-        raise ConfigError("partition experiment runs on model r1 or heis1")
+    for k in range(10):
+        ps = points(k)
+        cs = verify_separated(ps, w)
+        cd = verify_dense(ps, u, shape=dense_shape)
+        part = build_partition(ps, w, u, shape=partition_shape)
+        cert_ok &= cs.passed and cd.passed
+        inv_ok &= all(part.check_invariants().values())
+        for j, f in enumerate(funcs(k)):
+            q = quasi_interpolate(f.at(ps.points), part)
+            lhs = (f - q).norm_l2()
+            rhs = oscillation(f, u).norm_l2()
+            worst = max(worst, lhs - rhs)
+            rows.append({"config": k, "func": j, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
     checks = [
         _check("certificates", cert_ok, n_configs=10),
         _check("partition-invariants", inv_ok),
         _check("quasi-interpolation-bound", worst <= tol, worst_violation=worst, tolerance=tol),
     ]
-    return checks, ("config", "func", "lhs", "rhs", "margin"), rows, pointset
+    return checks, ("config", "func", "lhs", "rhs", "margin"), rows, ps
 
 
 _QL_DEFAULTS = {
@@ -603,7 +613,7 @@ def _exp_quasilattice(cfg, tracker):
     model = model_from_id(model_id)
     base_range, ell_range = _QL_DEFAULTS[model_id]
     ps, (c_lo, c_hi) = quasilattice_semidirect(model, base_range, ell_range)
-    cert = tiling_check(ps, c_lo, c_hi, shape=33, margin=0.0)
+    cert = tiling_check(ps, c_lo, c_hi, shape=33)
     rows = [{"model": model_id, "n_points": len(ps),
              "min_count": cert.detail["min_count"], "max_count": cert.detail["max_count"]}]
     checks = [
@@ -650,7 +660,8 @@ def _exp_oscillation(cfg, tracker):
 
 
 def _exp_constants(cfg, tracker):
-    model, grid, omega, proj = _h1_projector(cfg, tracker)
+    proj = _h1_projector(cfg, tracker)
+    grid, omega, model = proj.grid, proj.omega, proj.grid.model
     checks = [
         _check("band-dimension", proj.dim >= 20, dim=proj.dim),
         _check("homogeneous-dimension", model.homogeneous_dimension == 4,
@@ -704,23 +715,32 @@ def _cache_dir(cfg):
     return os.environ.get("GROUPSAMPLE_CACHE") or os.path.join(cfg.outdir, "cache")
 
 
+def _report(experiment, config, checks, t0, tracker=None, **extra):
+    """The report.json of a run, a sweep or a verify: config echo, library
+    version, checks, wall time since t0 and the tracker's cache counts."""
+    return {
+        "experiment": experiment,
+        "config": config,
+        "version": version_hash(),
+        "checks": checks,
+        "wall_time_s": time.perf_counter() - t0,
+        "cache": {"hits": tracker.hits if tracker else 0,
+                  "misses": tracker.misses if tracker else 0},
+        **extra,
+    }
+
+
 def run_experiment(cfg):
     """Execute one experiment; returns (report dict, header, rows, pointset)."""
     tracker = CacheTracker(_cache_dir(cfg))
     t0 = time.perf_counter()
     checks, header, rows, pointset = _RUNNERS[cfg.experiment](cfg, tracker)
-    report = {
-        "experiment": cfg.experiment,
-        "config": cfg.echo(),
-        "version": version_hash(),
-        "checks": checks,
-        "wall_time_s": time.perf_counter() - t0,
-        "cache": {"hits": tracker.hits, "misses": tracker.misses},
-    }
-    return report, header, rows, pointset
+    return _report(cfg.experiment, cfg.echo(), checks, t0, tracker), header, rows, pointset
 
 
 def _emit(cfg, report, header, rows, pointset):
+    """Write report.json, table.csv and, given a point set, points.csv into
+    ``cfg.outdir``."""
     os.makedirs(cfg.outdir, exist_ok=True)
     with open(os.path.join(cfg.outdir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
@@ -740,106 +760,96 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
-def _exit_code(checks):
-    ok = all(c["verdict"] in ("pass", "hypothesis-not-met") for c in checks)
-    return 0 if ok else 1
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 
+
+def _shannon_sweep_row(cfg, tracker):
+    kernel = _shannon_kernel(cfg.resolution if cfg.resolution is not None else 4096)
+    gap = cfg.r if cfg.r is not None else 2.0
+    rng = np.random.default_rng(cfg.seed)
+    pts = _gap_lattice(gap)
+    # fixed-profile jitter so density, not luck, drives the bounds
+    pts += 0.1 * gap * (2.0 * rng.random(pts.size) - 1.0)
+    ps = PointSet(kernel.grid.model, np.clip(pts, -64.0, 64.0 - 1e-9)[:, None], [-64.0], [64.0])
+    fb = FrameSystem(kernel, ps).estimate_bounds()
+    return {"a": fb.a, "b": fb.b, "tightness": fb.tightness}
+
+
+def _beurling_sweep_row(cfg, tracker):
+    omega, kernel = _beurling_kernel(cfg)
+    r = cfg.r if cfg.r is not None else 1.4 / math.sqrt(omega)
+    row = beurling_scan(kernel, [r])[0]
+    return {"a": row["a"], "b": row["b"], "tightness": row["tightness"]}
+
+
+def _heisenberg_sweep_row(cfg, tracker):
+    rep = _heisenberg_report(cfg, tracker)
+    return {"a": rep["ratio_min"], "b": rep["ratio_max"],
+            "tightness": rep["ratio_min"] / rep["a_pred"]}
+
+
+def _tightness_trend(cfg, vals, rows):
+    # denser sets tighten the frame: tightness nonincreasing as r decreases
+    t = [rows[i]["tightness"] for i in np.argsort(vals)[::-1]]
+    ok = all(t[i + 1] <= t[i] + 1e-6 for i in range(len(t) - 1))
+    return _check("tightness-nonincreasing", ok, tightness_by_decreasing_r=t)
+
+
+def _lower_bound_trend(cfg, vals, rows):
+    a = [rows[i]["a"] for i in np.argsort(vals)]
+    ok = all(a[i + 1] <= a[i] + 1e-6 for i in range(len(a) - 1))
+    return _check("lower-bound-nonincreasing", ok, a_by_increasing_r=a)
+
+
+def _covariance_trend(cfg, vals, rows):
+    # dilation covariance: ratio_min / a_pred invariant across omega
+    norm = [row["tightness"] for row in rows]
+    spread = (max(norm) - min(norm)) / max(norm) if norm else 0.0
+    return _check("covariance-normalized-ratio", spread < cfg.tol("tol_covariance", 0.15),
+                  normalized=norm, spread=spread)
+
+
+def _completed_trend(cfg, vals, rows):
+    return _check("sweep-completed", len(rows) == len(vals), n_rows=len(rows))
+
+
+# experiment -> (the sweep parameters its rows read, row of one value,
+# trend check per parameter; other parameters get _completed_trend)
+_SWEEPS = {
+    "shannon": (("r", "grid"), _shannon_sweep_row, {"r": _tightness_trend}),
+    "beurling-scan": (("r", "omega"), _beurling_sweep_row, {"r": _lower_bound_trend}),
+    "heisenberg": (("r", "omega", "grid"), _heisenberg_sweep_row, {"omega": _covariance_trend}),
+}
 _SWEEP_PARAMS = ("r", "omega", "grid")
 
 
 def run_sweep(cfg, param, values):
-    if param not in _SWEEP_PARAMS:
-        raise ConfigError(f"sweep parameter must be one of {', '.join(_SWEEP_PARAMS)}")
-    rows = []
-    checks = []
+    """One row per value of ``param`` (``grid`` sets the resolution), then
+    the trend check; returns (report dict, header, rows, None)."""
+    if cfg.experiment not in _SWEEPS:
+        raise ConfigError(f"experiment {cfg.experiment!r} has no sweep mode")
+    params, row_of, trends = _SWEEPS[cfg.experiment]
+    if param not in params:
+        raise ConfigError(
+            f"{cfg.experiment} does not read {param!r}; its sweep parameters are {', '.join(params)}"
+        )
     tracker = CacheTracker(_cache_dir(cfg))
     t0 = time.perf_counter()
-    for v in values:
+    vals = [float(v) for v in values]
+    rows = []
+    for v in vals:
         sub = dataclasses.replace(cfg)
         if param == "grid":
             sub.resolution = int(v)
         else:
-            setattr(sub, param, float(v))
-        sub.validate()
-        rows.append(_sweep_row(sub, param, v, tracker))
-    checks.extend(_sweep_trend_checks(cfg, param, values, rows))
-    report = {
-        "experiment": cfg.experiment,
-        "sweep": {"param": param, "values": [float(v) for v in values]},
-        "config": cfg.echo(),
-        "version": version_hash(),
-        "checks": checks,
-        "wall_time_s": time.perf_counter() - t0,
-        "cache": {"hits": tracker.hits, "misses": tracker.misses},
-    }
-    header = (param, "a", "b", "tightness")
-    return report, header, rows
-
-
-def _sweep_row(cfg, param, value, tracker):
-    exp = cfg.experiment
-    if exp == "shannon":
-        model = EuclideanModel(1)
-        n = cfg.resolution if cfg.resolution is not None else 4096
-        grid = Grid.regular(model, [-64.0], [64.0], (n,))
-        kernel = sinc_kernel(grid, 0.5)
-        gap = cfg.r if cfg.r is not None else 2.0
-        rng = np.random.default_rng(cfg.seed)
-        k0, k1 = math.ceil(-64.0 / gap), math.ceil(64.0 / gap) - 1
-        pts = (np.arange(k0, k1 + 1) * gap).astype(float)
-        # fixed-profile jitter so density, not luck, drives the bounds
-        pts += 0.1 * gap * (2.0 * rng.random(pts.size) - 1.0)
-        ps = PointSet(model, np.clip(pts, -64.0, 64.0 - 1e-9)[:, None], [-64.0], [64.0])
-        fb = FrameSystem(kernel, ps).estimate_bounds()
-        return {param: float(value), "a": fb.a, "b": fb.b, "tightness": fb.tightness}
-    if exp == "beurling-scan":
-        omega = cfg.omega if cfg.omega is not None else math.pi**2
-        band = math.sqrt(omega) / (2.0 * math.pi)
-        grid = Grid.regular(EuclideanModel(1), [-32.0], [32.0], (2048,))
-        kernel = sinc_kernel(grid, band)
-        r = cfg.r if cfg.r is not None else 1.4 / math.sqrt(omega)
-        row = beurling_scan(kernel, [r])[0]
-        return {param: float(value), "a": row["a"], "b": row["b"], "tightness": row["tightness"]}
-    if exp == "heisenberg":
-        model, grid, omega, proj = _h1_projector(cfg, tracker)
-        c_g = _cached_c_g(grid, proj, tracker)["c_g"]
-        x = cfg.r if cfg.r is not None else 1.0 - 5e-6
-        rep = heisenberg_sampling_experiment(proj, c_g, x_target=x, seed=cfg.seed,
-                                             cache_dir=tracker.dir)
-        return {param: float(value), "a": rep["ratio_min"], "b": rep["ratio_max"],
-                "tightness": rep["ratio_min"] / rep["a_pred"]}
-    raise ConfigError(f"experiment {exp!r} has no sweep mode")
-
-
-def _sweep_trend_checks(cfg, param, values, rows):
-    checks = []
-    vals = [float(v) for v in values]
-    if cfg.experiment == "shannon" and param == "r":
-        # denser sets tighten the frame: tightness nonincreasing as r decreases
-        order = np.argsort(vals)[::-1]
-        t = [rows[i]["tightness"] for i in order]
-        ok = all(t[i + 1] <= t[i] + 1e-6 for i in range(len(t) - 1))
-        checks.append(_check("tightness-nonincreasing", ok, tightness_by_decreasing_r=t))
-    elif cfg.experiment == "beurling-scan" and param == "r":
-        order = np.argsort(vals)
-        a = [rows[i]["a"] for i in order]
-        ok = all(a[i + 1] <= a[i] + 1e-6 for i in range(len(a) - 1))
-        checks.append(_check("lower-bound-nonincreasing", ok, a_by_increasing_r=a))
-    elif cfg.experiment == "heisenberg" and param == "omega":
-        # dilation covariance: ratio_min / a_pred invariant across omega
-        norm = [row["tightness"] for row in rows]
-        spread = (max(norm) - min(norm)) / max(norm) if norm else 0.0
-        checks.append(_check("covariance-normalized-ratio",
-                             spread < cfg.tol("tol_covariance", 0.15),
-                             normalized=norm, spread=spread))
-    else:
-        checks.append(_check("sweep-completed", len(rows) == len(values), n_rows=len(rows)))
-    return checks
+            setattr(sub, param, v)
+        rows.append({param: v, **row_of(sub.validate(), tracker)})
+    check = trends.get(param, _completed_trend)(cfg, vals, rows)
+    report = _report(cfg.experiment, cfg.echo(), [check], t0, tracker,
+                     sweep={"param": param, "values": vals})
+    return report, (param, "a", "b", "tightness"), rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +857,9 @@ def _sweep_trend_checks(cfg, param, values, rows):
 # ---------------------------------------------------------------------------
 
 
-def run_verify(path, model_id, sep, dense, outdir):
+def run_verify(path, model_id, sep, dense):
+    """Certify the point set in a CSV file: its ``sep``-balls disjoint, its
+    ``dense``-balls covering; returns (report dict, header, rows, pointset)."""
     model = model_from_id(model_id)
     try:
         ps = PointSet.from_csv(path, model)
@@ -856,37 +868,21 @@ def run_verify(path, model_id, sep, dense, outdir):
     checks = []
     rows = []
     t0 = time.perf_counter()
-    if sep is not None:
-        if sep <= 0:
-            raise ConfigError("separation radius must be positive")
-        cert = verify_separated(ps, sep)
-        checks.append(_check("separated", cert.passed, radius=sep, **{
-            k: v for k, v in cert.detail.items() if np.isscalar(v)}))
-        rows.append({"check": "separated", "radius": sep, "passed": cert.passed})
-    if dense is not None:
-        if dense <= 0:
-            raise ConfigError("density radius must be positive")
-        cert = verify_dense(ps, dense)
-        checks.append(_check("dense", cert.passed, radius=dense))
-        rows.append({"check": "dense", "radius": dense, "passed": cert.passed})
+    for name, what, radius, certify in (("separated", "separation", sep, verify_separated),
+                                        ("dense", "density", dense, verify_dense)):
+        if radius is None:
+            continue
+        if radius <= 0:
+            raise ConfigError(f"{what} radius must be positive")
+        cert = certify(ps, radius)
+        # the certificate's detail says how it was checked
+        checks.append(_check(name, cert.passed, radius=radius, **cert.detail))
+        rows.append({"check": name, "radius": radius, "passed": cert.passed})
     if not checks:
         raise ConfigError("nothing to verify: pass --sep and/or --dense")
-    report = {
-        "experiment": "verify",
-        "config": {"pointset": os.path.basename(path), "model": model_id,
-                   "sep": sep, "dense": dense, "n_points": len(ps)},
-        "version": version_hash(),
-        "checks": checks,
-        "wall_time_s": time.perf_counter() - t0,
-        "cache": {"hits": 0, "misses": 0},
-    }
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-    _write_csv(os.path.join(outdir, "table.csv"), ("check", "radius", "passed"), rows)
-    ps.to_csv(os.path.join(outdir, "points.csv"))
-    return report
+    config = {"pointset": os.path.basename(path), "model": model_id,
+              "sep": sep, "dense": dense, "n_points": len(ps)}
+    return _report("verify", config, checks, t0), ("check", "radius", "passed"), rows, ps
 
 
 # ---------------------------------------------------------------------------
@@ -923,40 +919,26 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = parse_config(args.config, args.override)
-            if args.outdir:
-                cfg.outdir = args.outdir
-            report, header, rows, pointset = run_experiment(cfg)
-            _emit(cfg, report, header, rows, pointset)
-            for c in report["checks"]:
-                print(f"{c['name']}: {c['verdict']}")
-            return _exit_code(report["checks"])
-        if args.command == "sweep":
-            cfg = parse_config(args.config, args.override)
-            if args.outdir:
-                cfg.outdir = args.outdir
-            report, header, rows = run_sweep(cfg, args.param, args.values)
-            _emit(cfg, report, header, rows, None)
-            for c in report["checks"]:
-                print(f"{c['name']}: {c['verdict']}")
-            return _exit_code(report["checks"])
         if args.command == "verify":
-            report = run_verify(args.pointset, args.model, args.sep, args.dense,
-                                args.outdir)
-            for c in report["checks"]:
-                print(f"{c['name']}: {c['verdict']}")
-            return _exit_code(report["checks"])
-    except ConfigError as e:
+            dest = args  # _emit reads only .outdir
+            out = run_verify(args.pointset, args.model, args.sep, args.dense)
+        else:
+            dest = parse_config(args.config, args.override)
+            dest.outdir = args.outdir or dest.outdir
+            if args.command == "run":
+                out = run_experiment(dest)
+            else:
+                out = run_sweep(dest, args.param, args.values)
+        _emit(dest, *out)
+    except ValueError as e:  # ConfigError included
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    return 2
+    checks = out[0]["checks"]
+    for c in checks:
+        print(f"{c['name']}: {c['verdict']}")
+    return 0 if all(c["verdict"] in ("pass", "hypothesis-not-met") for c in checks) else 1
 
 
 if __name__ == "__main__":

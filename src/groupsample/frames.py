@@ -11,15 +11,15 @@ frame bounds, and reconstruction solves M c = rhs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Grid, GridFunction
 from .groups import EuclideanModel, HeisenbergModel
 from .pointsets import PointSet, Partition, verify_separated, verify_dense
+from .kernels import SpectralProjector
 from .analysis import (
-    SpectralProjector,
     oscillation,
     random_bandlimited,
     ball_volume,
@@ -42,9 +42,6 @@ __all__ = [
 class FrameBounds:
     a: float
     b: float
-    method: str = "dense"
-    iterations: int = 0
-    residuals: list = field(default_factory=list)
 
     @property
     def tightness(self) -> float:
@@ -61,9 +58,6 @@ class ReconstructionResult:
     function: GridFunction
     residual: float
     iterations: int
-    method: str
-    residual_history: list = field(default_factory=list)
-    coefficients: np.ndarray | None = None
 
 
 class FrameSystem:
@@ -89,51 +83,10 @@ class FrameSystem:
         """Restriction of f to Gamma by interpolation (exact on nodes)."""
         return f.at(self.pointset.points)
 
-    def estimate_bounds(self, method: str = "auto", tol: float = 1e-6, maxiter: int = 5000) -> FrameBounds:
-        if method == "auto":
-            method = "dense" if self.dim <= 2000 else "iterative"
-        if method == "dense":
-            vals = np.linalg.eigvalsh(self.M)
-            return FrameBounds(float(vals[0]), float(vals[-1]), method="dense")
-        # power iteration for B, inverse-style iteration for A via shifted power
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
-        v /= np.linalg.norm(v)
-        b = 0.0
-        residuals = []
-        it = 0
-        for it in range(maxiter):
-            w = self.M @ v
-            b_new = float(np.real(np.vdot(v, w)))
-            res = float(np.linalg.norm(w - b_new * v))
-            residuals.append(res)
-            nrm = np.linalg.norm(w)
-            if nrm == 0:
-                b_new = 0.0
-                break
-            v = w / nrm
-            if it > 2 and res < tol * max(b_new, 1e-30):
-                b = b_new
-                break
-            b = b_new
-        else:
-            raise RuntimeError(f"power iteration stagnated, residual {residuals[-1]:g}")
-        # smallest eigenvalue by power iteration on b*I - M
-        v = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
-        v /= np.linalg.norm(v)
-        a = 0.0
-        for it2 in range(maxiter):
-            w = b * v - self.M @ v
-            mu = float(np.real(np.vdot(v, w)))
-            res = float(np.linalg.norm(w - mu * v))
-            nrm = np.linalg.norm(w)
-            if nrm == 0:
-                break
-            v = w / nrm
-            a = b - mu
-            if it2 > 2 and res < tol * max(b, 1e-30):
-                break
-        return FrameBounds(a, b, method="iterative", iterations=it + 1, residuals=residuals[-5:])
+    def estimate_bounds(self) -> FrameBounds:
+        """Extreme eigenvalues of the frame operator (dense Hermitian solve)."""
+        vals = np.linalg.eigvalsh(self.M)
+        return FrameBounds(float(vals[0]), float(vals[-1]))
 
     def reconstruct(
         self,
@@ -151,13 +104,7 @@ class FrameSystem:
             raise ValueError("not a frame at solver tolerance (A ~ 0); cannot reconstruct")
         rhs_n = np.linalg.norm(rhs)
         history = []
-        if method == "tight":
-            if bounds.tightness - 1.0 > 1e-6:
-                raise ValueError("tight reconstruction requires tightness - 1 < 1e-6")
-            c = rhs / bounds.a
-            history = [float(np.linalg.norm(self.M @ c - rhs) / rhs_n)]
-            it = 1
-        elif method == "richardson":
+        if method == "richardson":
             lam = 2.0 / (bounds.a + bounds.b)
             c = np.zeros_like(rhs)
             for it in range(1, maxiter + 1):
@@ -190,9 +137,6 @@ class FrameSystem:
             function=self.kernel.synthesize(c),
             residual=history[-1] if history else 0.0,
             iterations=it,
-            method=method,
-            residual_history=history,
-            coefficients=c,
         )
 
     def dual_frame(self, index: int, bounds: FrameBounds | None = None) -> GridFunction:
@@ -502,19 +446,19 @@ def wavelet_frame_bounds(system, pointset: PointSet, probes, psi: GridFunction =
     M = T.conj().T @ T
     M = 0.5 * (M + M.conj().T)
     evs = np.linalg.eigvalsh(M)
-    return FrameBounds(float(evs[0]), float(evs[-1]), method="probe-subspace")
+    return FrameBounds(float(evs[0]), float(evs[-1]))
 
 
-def beurling_scan(kernel, r_values, margin: float = 2.0) -> list:
+def beurling_scan(kernel, r_values) -> list:
     """Lower/upper bounds of gap-r arithmetic sets Gamma = rZ on the kernel
-    grid, one row per r."""
+    grid, one row per r.  Gamma covers the whole box: the kernel modes are
+    periodic on it, so an unsampled border would fake a near-null vector."""
     grid = kernel.grid
     if not isinstance(grid.model, EuclideanModel) or grid.dim != 1:
         raise ValueError("scan runs on 1-D Euclidean kernels")
     rows = []
     for r in r_values:
-        lo, hi = grid.lo[0] + margin, grid.hi[0] - margin
-        k0, k1 = math.ceil(lo / r), math.floor(hi / r)
+        k0, k1 = math.ceil(grid.lo[0] / r), math.floor(grid.hi[0] / r)
         pts = (np.arange(k0, k1 + 1) * r)[:, None]
         ps = PointSet(grid.model, pts, grid.lo, grid.hi)
         fb = FrameSystem(kernel, ps).estimate_bounds()

@@ -2,13 +2,13 @@
 (sinc) spaces on R^n, spectral-projection spaces on H1, and the wavelet
 range space on the affine group.
 
-The sinc and spectral kernels share one discrete interface,
+The sinc kernel and the spectral projector share one discrete interface,
 :class:`BasisKernel`: an orthonormal basis of the space (evaluable at
 arbitrary chart points through ``basis_at``, and on the grid nodes as the
 matrix ``basis_matrix``), the orthogonal projection onto the space, and
-reproducing vectors p_x.  Coefficients, synthesis and reproducing vectors
-are read off the basis matrix, which each kernel builds at most once.  The
-frame layer consumes only this interface.
+reproducing vectors p_x.  Coefficients, synthesis, projection and
+reproducing vectors are read off the basis matrix, which each kernel builds
+at most once.  The frame layer consumes only this interface.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ import numpy as np
 
 from .grids import Grid, GridFunction, interpolate
 from .groups import EuclideanModel, AffineModel
-from .analysis import SpectralProjector
 
 __all__ = [
     "BasisKernel",
     "SincKernel",
-    "SpectralKernel",
+    "SpectralProjector",
     "sinc_kernel",
-    "spectral_kernel",
     "mexican_hat",
     "admissibility_constant",
     "wavelet_transform",
@@ -42,9 +40,9 @@ __all__ = [
 class BasisKernel:
     """Space spanned by an orthonormal basis B of shape (dim, n_nodes).
 
-    Subclasses supply ``grid``, ``dim``, ``project``, ``basis_at`` (basis
-    values at chart points, shape (dim, n_points)) and ``basis_matrix``
-    (the basis on the grid nodes).
+    Subclasses supply ``grid``, ``dim``, ``basis_at`` (basis values at
+    chart points, shape (dim, n_points)) and ``basis_matrix`` (the basis on
+    the grid nodes).
     """
 
     def coefficients(self, f: GridFunction) -> np.ndarray:
@@ -58,6 +56,9 @@ class BasisKernel:
     def reproducing_vector(self, x) -> GridFunction:
         x = np.asarray(x, dtype=float).reshape(1, self.grid.dim)
         return self.synthesize(np.conj(self.basis_at(x)[:, 0]))
+
+    def project(self, f: GridFunction) -> GridFunction:
+        return self.synthesize(self.coefficients(f))
 
     def membership_defect(self, f: GridFunction) -> float:
         nrm = f.norm_l2()
@@ -74,8 +75,6 @@ class SincKernel(BasisKernel):
     space.  Basis functions are the DFT exponentials; off-node evaluation is
     analytic, not interpolated.
     """
-
-    kind = "sinc"
 
     def __init__(self, grid: Grid, band: float):
         if not isinstance(grid.model, EuclideanModel):
@@ -118,39 +117,30 @@ class SincKernel(BasisKernel):
         return self._basis
 
 
-class SpectralKernel(BasisKernel):
-    """Reproducing kernel of a discrete sub-Laplacian band space."""
+@dataclass
+class SpectralProjector(BasisKernel):
+    """Retained eigenpairs of the discrete sub-Laplacian up to bandwidth
+    omega: the band space and its reproducing kernel."""
 
-    kind = "spectral"
-
-    def __init__(self, proj: SpectralProjector):
-        if proj.dim == 0:
-            raise ValueError("empty spectral projector")
-        self.proj = proj
-        self.grid = proj.grid
+    grid: Grid
+    omega: float
+    eigenvalues: np.ndarray  # ascending, all <= omega
+    eigenvectors: np.ndarray  # shape (m, *grid.shape), orthonormal in the weighted inner product
 
     @property
     def dim(self) -> int:
-        return self.proj.dim
-
-    def project(self, f: GridFunction) -> GridFunction:
-        return self.proj.project(f)
+        return len(self.eigenvalues)
 
     def basis_at(self, points_chart) -> np.ndarray:
         pts = np.asarray(points_chart, dtype=float).reshape(-1, self.grid.dim)
-        u = self.grid.model.to_internal(pts)
-        return interpolate(self.proj.eigenvectors, self.grid, u)
+        return interpolate(self.eigenvectors, self.grid, self.grid.model.to_internal(pts))
 
     def basis_matrix(self) -> np.ndarray:
-        return self.proj.basis_matrix()
+        return self.eigenvectors.reshape(self.dim, -1)
 
 
 def sinc_kernel(grid: Grid, band: float) -> SincKernel:
     return SincKernel(grid, band)
-
-
-def spectral_kernel(proj: SpectralProjector) -> SpectralKernel:
-    return SpectralKernel(proj)
 
 
 # ---------------------------------------------------------------------------

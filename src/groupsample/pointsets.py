@@ -196,32 +196,39 @@ def greedy_separated_dense(model, lo, hi, r, shape=None):
     return PointSet(model, np.array(accepted), lo, hi)
 
 
-def verify_separated(ps: PointSet, s: float, n_ball=64) -> Certificate:
+def verify_separated(ps: PointSet, s: float) -> Certificate:
     """Pairwise disjointness of the gauge balls of radius s around the points.
 
     Two balls are disjoint when their centres lie at gauge distance at least
     ``model.separation_distance(s)``: 2s where the gauge is subadditive (R^n,
     H1), s (1 + e^{2s}) for the affine box gauge.  Only the closer pairs are
-    checked further.  Affine balls are coordinate boxes, and their overlap is
-    decided exactly; elsewhere points of one ball on ``n_ball`` dilated sphere
-    directions are tested for membership in the other, a sampled check.
+    checked further.  On R^n those pairs are exactly the overlapping ones, and
+    affine balls are coordinate boxes whose overlap is decided exactly; on H1
+    points of one ball on dilated sphere directions are tested for membership
+    in the other, a sampled check.  ``detail["overlap_test"]`` says which.
     """
     if s <= 0:
         raise ValueError("radius must be positive")
     model = ps.model
+    detail = {"overlap_test": "sampled" if isinstance(model, HeisenbergModel) else "exact",
+              "exact_pairs": 0}
     i, j, _ = _near_pairs(model, ps.points, ps.points, model.separation_distance(s))
-    n_exact = 0
     for a, b in zip(i[i < j], j[i < j]):
-        n_exact += 1
-        if _balls_overlap(model, ps.points[a], ps.points[b], s, n_ball):
+        detail["exact_pairs"] += 1
+        if _balls_overlap(model, ps.points[a], ps.points[b], s):
             return Certificate(
                 "separated", s, False, witness=(ps.points[a], ps.points[b]),
-                n_checked=len(ps), detail={"exact_pairs": n_exact},
+                n_checked=len(ps), detail=detail,
             )
-    return Certificate("separated", s, True, n_checked=len(ps), detail={"exact_pairs": n_exact})
+    return Certificate("separated", s, True, n_checked=len(ps), detail=detail)
 
 
-def _balls_overlap(model, g1, g2, s, n_ball):
+def _balls_overlap(model, g1, g2, s):
+    """Whether the open s-balls around g1 and g2 meet, for centres closer
+    than ``model.separation_distance(s)``."""
+    if isinstance(model, EuclideanModel):
+        # open Euclidean balls meet exactly when the centres are closer than 2s
+        return True
     if isinstance(model, AffineModel):
         # g1 z1 = g2 z2 with z2 = h z1, h = g2^-1 g1 = (alpha, beta): z1 = (a, b)
         # needs |log a|, |log a + log alpha| < s and |b|, |beta + alpha b| < s
@@ -233,7 +240,7 @@ def _balls_overlap(model, g1, g2, s, n_ball):
         )
     from .analysis import _sphere_directions  # shared direction sample
 
-    dirs = _sphere_directions(model, n_ball)
+    dirs = _sphere_directions(model, 64)
     zs = [model.dilate(s * f, dirs) for f in (0.999, 0.75, 0.5, 0.25)]
     zs.append(np.zeros((1, model.dim)))
     pts = model.mul(g1[None, :], np.concatenate(zs))
@@ -244,8 +251,10 @@ def _balls_overlap(model, g1, g2, s, n_ball):
 def verify_dense(ps: PointSet, r: float, shape=64) -> Certificate:
     """Every grid point of the region lies within gauge distance r of the set.
 
-    ``worst_distance`` is exact: nodes with no point within r get their
-    distance to the whole set.
+    Only the grid nodes are checked, not the whole region; the certificate
+    says so in ``detail["checked_on"]``.  ``worst_distance`` is exact over
+    the nodes: nodes with no point within r get their distance to the whole
+    set.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -265,7 +274,7 @@ def verify_dense(ps: PointSet, r: float, shape=64) -> Certificate:
     passed = bool(dist[k] < r)
     return Certificate(
         "dense", r, passed, witness=None if passed else x[k],
-        n_checked=len(x), detail={"worst_distance": float(dist[k])},
+        n_checked=len(x), detail={"worst_distance": float(dist[k]), "checked_on": "grid nodes"},
     )
 
 
@@ -396,35 +405,26 @@ def quasilattice_semidirect(model, base_range, ell_range):
     raise ValueError("no semidirect construction for this model")
 
 
-def tiling_check(ps: PointSet, c_lo, c_hi, shape=48, margin=None) -> Certificate:
-    """Gamma C covers the region disjointly: every interior grid node lies in
-    exactly one translate gamma C (C a half-open internal-coordinate box)."""
+def tiling_check(ps: PointSet, c_lo, c_hi, shape=48) -> Certificate:
+    """Gamma C covers the region disjointly: every grid node lies in exactly
+    one translate gamma C (C a half-open internal-coordinate box)."""
     model = ps.model
     c_lo = np.asarray(c_lo, dtype=float)
     c_hi = np.asarray(c_hi, dtype=float)
-    if margin is None:
-        margin = 1.5 * np.max(c_hi - c_lo)
-    margin = np.broadcast_to(np.asarray(margin, dtype=float), (model.dim,))
     grid = Grid.regular(model, ps.lo, ps.hi, shape)
-    u = grid.nodes_internal().reshape(-1, model.dim)
-    interior = np.all((u >= ps.lo + margin) & (u < ps.hi - margin), axis=1)
-    x = model.from_internal(u[interior])
+    x = grid.points().reshape(-1, model.dim)
     counts = np.zeros(len(x), dtype=np.int64)
     inv = model.inv(ps.points)
     for g in inv:
         q = model.to_internal(model.mul(g[None, :], x))
         inside = np.all((q >= c_lo - 1e-9) & (q < c_hi - 1e-9), axis=1)
         counts += inside
-    passed = bool(np.all(counts == 1)) and len(x) > 0
-    k = int(np.argmax(counts != 1)) if (not passed and len(x)) else 0
+    passed = bool(np.all(counts == 1))
     return Certificate(
         "quasi-lattice", float(np.max(c_hi - c_lo)), passed,
-        witness=None if (passed or not len(x)) else x[k],
-        n_checked=int(len(x)),
-        detail={
-            "min_count": int(counts.min()) if len(x) else 0,
-            "max_count": int(counts.max()) if len(x) else 0,
-        },
+        witness=None if passed else x[int(np.argmax(counts != 1))],
+        n_checked=len(x),
+        detail={"min_count": int(counts.min()), "max_count": int(counts.max())},
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -125,6 +126,10 @@ def test_verify_subcommand(tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert {c["name"] for c in report["checks"]} == {"separated", "dense"}
+    by_name = {c["name"]: c for c in report["checks"]}
+    # how each certificate was checked
+    assert by_name["separated"]["overlap_test"] == "exact"
+    assert by_name["dense"]["checked_on"] == "grid nodes"
     # a failing certificate flips the exit code
     rc = main(["verify", str(csv), "--model", "r1", "--dense", "0.3",
                "--outdir", str(out)])
@@ -149,6 +154,48 @@ def test_sweep_shannon_tightness_trend(tmp_path):
     assert "tightness-nonincreasing" in names
     rows = (out / "table.csv").read_text().strip().splitlines()
     assert len(rows) == 4  # header + one per value
+
+
+def test_sweep_beurling_samples_whole_box(tmp_path):
+    # the scan samples the whole box, as in the experiment: an unsampled
+    # border fakes a near-null vector and collapses the lower bound
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = beurling-scan\noutdir = {out}\n")
+    rc = main(["sweep", path, "--param", "r", "--values", "0.318", "0.445"])
+    assert rc == 0
+    header, *rows = (out / "table.csv").read_text().strip().splitlines()
+    assert header == "r,a,b,tightness"
+    assert len(rows) == 2
+    assert all(float(row.split(",")[1]) > 1.0 for row in rows)
+
+
+@pytest.mark.parametrize("experiment,param", [("shannon", "omega"), ("beurling-scan", "grid"),
+                                              ("quasilattice", "r")])
+def test_sweep_rejects_parameter_not_read(tmp_path, experiment, param):
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = {experiment}\noutdir = {out}\n")
+    assert main(["sweep", path, "--param", param, "--values", "9", "17"]) == 2
+    assert not out.exists()
+
+
+def test_line_experiments_match_reference(tmp_path):
+    # the 7 line-workload experiments at seed 0 through the CLI's own runner
+    # and writer: verdicts and table.csv bytes as recorded in the reference
+    ref_path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench",
+                            "reference.json")
+    with open(ref_path) as fh:
+        reference = json.load(fh)["workloads"]["line"]["0"]
+    assert len(reference) == 7
+    for i, (label, expected) in enumerate(sorted(reference.items())):
+        experiment, *overrides = label.split()
+        raw = {"experiment": experiment, "seed": "0", "outdir": str(tmp_path / str(i)),
+               **dict(item.split("=", 1) for item in overrides)}
+        cfg = cli._config_from_dict(raw)
+        out = run_experiment(cfg)
+        cli._emit(cfg, *out)
+        assert [[c["name"], c["verdict"]] for c in out[0]["checks"]] == expected["verdicts"], label
+        digest = hashlib.sha256((tmp_path / str(i) / "table.csv").read_bytes()).hexdigest()
+        assert digest == expected["digest"], label
 
 
 def test_experiment_config_validation():

@@ -7,9 +7,8 @@ from groupsample import EuclideanModel, AffineModel, Grid, GridFunction
 from groupsample.kernels import (
     BasisKernel,
     SincKernel,
-    SpectralKernel,
+    SpectralProjector,
     sinc_kernel,
-    spectral_kernel,
     admissibility_constant,
     mexican_hat,
     wavelet_transform,
@@ -139,13 +138,12 @@ def test_transform_eta_two_paths_agree(wavelet_system, line_grid, affine_grid):
     assert np.allclose(conv_path, direct_path, atol=5e-2 * scale)
 
 
-def test_spectral_kernel_wraps_projector(h1_proj):
-    k = spectral_kernel(h1_proj)
-    assert k.dim == h1_proj.dim
+def test_spectral_projector_holds_band_elements(h1_proj):
     from groupsample import random_bandlimited
 
+    assert h1_proj.basis_matrix().shape == (h1_proj.dim, h1_proj.grid.size)
     f = random_bandlimited(h1_proj, seed=2)
-    assert k.membership_defect(f) < 1e-8
+    assert h1_proj.membership_defect(f) < 1e-8
 
 
 def test_sinc_shared_base_matches_per_kernel_expressions():
@@ -168,26 +166,34 @@ def test_sinc_shared_base_matches_per_kernel_expressions():
         assert np.array_equal(k.reproducing_vector(x).values, ref)
 
 
-def test_spectral_kernel_matches_projector_exactly(h1_proj):
-    k = spectral_kernel(h1_proj)
+def test_spectral_projector_matches_its_own_expressions_exactly(h1_proj):
+    # reference: the expressions SpectralProjector evaluated before it
+    # shared BasisKernel, written out over its eigenvectors
+    E = h1_proj.eigenvectors
+    w = h1_proj.grid.weights().reshape(-1)
     rng = np.random.default_rng(5)
-    c = rng.standard_normal(k.dim) + 1j * rng.standard_normal(k.dim)
-    assert np.array_equal(k.synthesize(c).values, h1_proj.synthesize(c).values)
+    c = rng.standard_normal(h1_proj.dim) + 1j * rng.standard_normal(h1_proj.dim)
     f = h1_proj.synthesize(c)
-    assert np.array_equal(k.coefficients(f), h1_proj.coefficients(f))
+    assert np.array_equal(f.values, np.tensordot(c, E, axes=(0, 0)))
+    ref_coeffs = E.reshape(h1_proj.dim, -1).conj() @ (w * f.values.reshape(-1))
+    assert np.array_equal(h1_proj.coefficients(f), ref_coeffs)
+    assert np.array_equal(h1_proj.project(f).values, np.tensordot(ref_coeffs, E, axes=(0, 0)))
     x = [0.4, -1.1, 0.7]
-    e_x = k.basis_at([x])[:, 0]
-    ref = np.tensordot(np.conj(e_x), h1_proj.eigenvectors, axes=(0, 0))
-    assert np.array_equal(k.reproducing_vector(x).values, ref)
+    e_x = h1_proj.basis_at([x])[:, 0]
+    ref = np.tensordot(np.conj(e_x), E, axes=(0, 0))
+    assert np.array_equal(h1_proj.reproducing_vector(x).values, ref)
 
 
 def test_kernels_share_one_base():
-    for cls in (SincKernel, SpectralKernel):
+    for cls in (SincKernel, SpectralProjector):
         assert issubclass(cls, BasisKernel)
         for name in ("coefficients", "synthesize", "reproducing_vector", "membership_defect"):
             assert name not in vars(cls)
-        for name in ("basis_at", "basis_matrix", "project", "dim"):
+        for name in ("basis_at", "basis_matrix", "dim"):
             assert name in vars(cls)
+    # the sinc space projects by its FFT mask, the spectral one through the basis
+    assert "project" in vars(SincKernel)
+    assert "project" not in vars(SpectralProjector)
 
 
 def test_sinc_basis_built_once_and_read_only(monkeypatch):

@@ -105,7 +105,7 @@ def test_partition_uncovered_region_raises():
 )
 def test_quasilattice_exact_tiling(model, base, ells):
     ps, (c_lo, c_hi) = quasilattice_semidirect(model, base, ells)
-    cert = tiling_check(ps, c_lo, c_hi, shape=33, margin=0.0)
+    cert = tiling_check(ps, c_lo, c_hi, shape=33)
     assert cert.passed
     assert cert.detail["min_count"] == 1
     assert cert.detail["max_count"] == 1
@@ -154,6 +154,34 @@ def test_csv_roundtrip(tmp_path):
     assert np.allclose(np.sort(back.points, axis=0), np.sort(ps.points, axis=0))
 
 
+@pytest.mark.parametrize(
+    "model,far",
+    [
+        (EuclideanModel(1), [1.999]),
+        # between two of the sampled sphere directions
+        (EuclideanModel(2), [1.998 * math.cos(math.pi / 64), 1.998 * math.sin(math.pi / 64)]),
+    ],
+    ids=["r1", "rn2"],
+)
+def test_verify_separated_euclidean_overlap_just_below_2s(model, far):
+    # open 1-balls around centres closer than 2 meet; at distance 2 they do not
+    origin = np.zeros(model.dim)
+    lo, hi = [-3.0] * model.dim, [3.0] * model.dim
+    cert = verify_separated(PointSet(model, np.array([origin, far]), lo, hi), 1.0)
+    assert not cert.passed
+    assert cert.detail["overlap_test"] == "exact"
+    apart = 2.0 * np.asarray(far) / np.linalg.norm(far)
+    assert verify_separated(PointSet(model, np.array([origin, apart]), lo, hi), 1.0).passed
+
+
+def test_verify_separated_heisenberg_overlap_is_sampled():
+    model = HeisenbergModel()
+    lo, hi = [-3.0] * 3, [3.0] * 3
+    cert = verify_separated(PointSet(model, np.array([[0.0, 0, 0], [1.5, 0, 0]]), lo, hi), 1.0)
+    assert not cert.passed
+    assert cert.detail["overlap_test"] == "sampled"
+
+
 def test_verify_separated_affine_overlap_beyond_2s():
     # the two 1-balls share g1 z1 = g2 z2 = (0.3716, 0.99) although their
     # centres are at gauge distance 8.16 > 2s; the exact box decision finds it
@@ -182,7 +210,7 @@ def test_verify_separated_affine_disjoint_within_fast_path():
     assert model.gauge(model.mul(model.inv(g2), g1)) < model.separation_distance(1.0)
     cert = verify_separated(ps, 1.0)
     assert cert.passed
-    assert cert.detail["exact_pairs"] == 1
+    assert cert.detail == {"exact_pairs": 1, "overlap_test": "exact"}
 
 
 @pytest.mark.parametrize("model", NEAR_MODELS, ids=lambda m: m.model_id())
@@ -274,4 +302,4 @@ def test_verify_dense_worst_distance_exact(model):
     for r, passed in ((1.05 * worst, True), (0.5 * worst, False)):
         cert = verify_dense(ps, r, shape=9)
         assert cert.passed is passed
-        assert cert.detail["worst_distance"] == worst
+        assert cert.detail == {"worst_distance": worst, "checked_on": "grid nodes"}
