@@ -33,7 +33,6 @@ from .analysis import (
     estimate_constants,
     ConstantEstimates,
     oscillation_scaling_check,
-    ball_volume,
 )
 
 __version__ = "0.1.0"

@@ -48,6 +48,7 @@ from .analysis import (
     random_bandlimited,
     estimate_constants,
     oscillation_scaling_check,
+    CACHE_COUNTS,
     _atomic_open,
 )
 from .kernels import sinc_kernel, mexican_hat, cosine_taper_bump, mollified_vector
@@ -207,25 +208,6 @@ def _check(name, ok, **detail):
     return {"name": name, "verdict": "pass" if ok else "fail", **detail}
 
 
-class CacheTracker:
-    """Counts hits by watching the cache directory around library calls."""
-
-    def __init__(self, cache_dir):
-        self.dir = cache_dir
-        os.makedirs(cache_dir, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def run(self, fn):
-        before = set(os.listdir(self.dir))
-        out = fn()
-        if set(os.listdir(self.dir)) - before:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return out
-
-
 # ---------------------------------------------------------------------------
 # shared constructions
 # ---------------------------------------------------------------------------
@@ -263,14 +245,14 @@ def _h1_jittered_lattice(model, seed, half=7.0, s=1.4):
     return PointSet(model, pts, [-half] * 3, [half] * 3)
 
 
-def _random_smooth(grid, seed, spread, widths=(0.6, 1.6)):
-    """Sum of three Gaussian bumps with random centers and widths."""
+def _random_smooth(grid, seed, spread):
+    """Sum of three Gaussian bumps with random centers and widths in [0.5, 1.2)."""
     rng = np.random.default_rng(seed)
     pts = grid.points()
     vals = np.zeros(grid.shape)
     for _ in range(3):
         c = rng.uniform(-spread, spread, size=grid.dim)
-        wd = rng.uniform(*widths)
+        wd = rng.uniform(0.5, 1.2)
         amp = rng.uniform(-1.0, 1.0)
         e = np.zeros(grid.shape)
         for d in range(grid.dim):
@@ -279,28 +261,29 @@ def _random_smooth(grid, seed, spread, widths=(0.6, 1.6)):
     return GridFunction(grid, vals)
 
 
-def _h1_projector(cfg, tracker, half=7.0):
+def _h1_projector(cfg, cache_dir, half=7.0):
     """Band projector at omega (default 1) on the resolution^3 grid (default
     33) over the chart box [-half, half)^3, through the cache."""
     n = cfg.resolution if cfg.resolution is not None else 33
     grid = Grid.regular(HeisenbergModel(), [-half] * 3, [half] * 3, (n,) * 3)
     omega = cfg.omega if cfg.omega is not None else 1.0
-    return tracker.run(lambda: sublaplacian_spectrum(grid, omega, cache_dir=tracker.dir))
+    return sublaplacian_spectrum(grid, omega, cache_dir=cache_dir)
 
 
-def _cached_c_g(grid, proj, tracker):
-    """Constants of ``estimate_constants`` through the cache directory.
-    ``b_verified`` is None when read from a file written without it."""
+def _cached_c_g(grid, proj, cache_dir):
+    """Constants of ``estimate_constants`` through the cache directory,
+    counted in ``CACHE_COUNTS``.  ``b_verified`` is None when read from a
+    file written without it."""
     key = f"constants-{grid.content_hash()[:16]}-{proj.omega:.6g}.json"
-    path = os.path.join(tracker.dir, key)
+    path = os.path.join(cache_dir, key)
     if os.path.exists(path):
-        tracker.hits += 1
+        CACHE_COUNTS["hits"] += 1
         with open(path) as fh:
             data = json.load(fh)
         data.setdefault("b_verified", None)
         return data
-    tracker.misses += 1
     est = estimate_constants(grid, proj)
+    CACHE_COUNTS["misses"] += 1
     data = {
         "c_g": est.c_g,
         "c_ku": est.c_ku,
@@ -309,6 +292,7 @@ def _cached_c_g(grid, proj, tracker):
         "ball_volume_1": est.ball_volume_1,
         "bernstein_norms": {str(k): v for k, v in est.bernstein_norms.items()},
     }
+    os.makedirs(cache_dir, exist_ok=True)
     with _atomic_open(path, "w") as fh:
         json.dump(data, fh, sort_keys=True)
     return data
@@ -327,13 +311,14 @@ def haar_scaling_ratio(model, t=1.3, n=4_000_000, seed=0):
     return ct / c1
 
 
-def commutator_residual(n=121, half=5.0, width=2.0, ring=12):
-    """sup |([X,Y] - T) f| / sup |T f| over the grid interior for a smooth
-    Gaussian bump, boundary ring excluded (Dirichlet padding pollutes it)."""
-    model = HeisenbergModel()
-    grid = Grid.regular(model, [-half] * 3, [half] * 3, (n,) * 3)
+def commutator_residual():
+    """sup |([X,Y] - T) f| / sup |T f| for a Gaussian bump of width 2 on the
+    121^3 grid over [-5, 5)^3, a boundary ring of 12 nodes excluded
+    (Dirichlet padding pollutes it)."""
+    ring = 12
+    grid = Grid.regular(HeisenbergModel(), [-5.0] * 3, [5.0] * 3, (121,) * 3)
     f = GridFunction.from_callable(
-        grid, lambda x, y, t: np.exp(-(x**2 + y**2 + t**2) / (2.0 * width**2))
+        grid, lambda x, y, t: np.exp(-(x**2 + y**2 + t**2) / 8.0)
     )
     xy = vector_field_apply(0, vector_field_apply(1, f))
     yx = vector_field_apply(1, vector_field_apply(0, f))
@@ -361,7 +346,7 @@ def _gap_lattice(gap, half=64.0):
     return np.arange(math.ceil(-half / gap), math.ceil(half / gap)) * gap
 
 
-def _exp_shannon(cfg, tracker):
+def _exp_shannon(cfg, cache_dir):
     kernel = _shannon_kernel(8192)
     model = kernel.grid.model
     rng = np.random.default_rng(cfg.seed)
@@ -436,7 +421,7 @@ def _beurling_kernel(cfg):
     return omega, sinc_kernel(grid, band)
 
 
-def _exp_beurling(cfg, tracker):
+def _exp_beurling(cfg, cache_dir):
     omega, kernel = _beurling_kernel(cfg)
     targets = (1.0, 1.4, 2.0, 2.8, 3.5)
     rows = beurling_scan(kernel, [x / math.sqrt(omega) for x in targets])
@@ -461,14 +446,13 @@ def _wavelet_probes(pg):
     return [GridFunction.from_callable(pg, mex(sh, wd)) for sh, wd in params]
 
 
-def _exp_wavelet(cfg, tracker):
+def _exp_wavelet(cfg, cache_dir):
     e1 = EuclideanModel(1)
     am = AffineModel()
     sg = Grid.regular(e1, [-20.0], [20.0], (2048,))
     psi = mexican_hat(sg)
     ag = Grid.regular(am, [-3.0, -16.0], [3.0, 16.0], (66, 292))
-    h = cosine_taper_bump(ag, 1.0, 1.0)
-    system = mollified_vector(psi, ag, h=h)
+    system = mollified_vector(psi, ag, cosine_taper_bump(ag))
     scan = system.hypothesis_scan((0.3, 0.25, 0.2, 0.15, 0.1))
     checks = [
         _check("hypothesis-scan", scan["u_star"] is not None,
@@ -501,21 +485,21 @@ def _exp_wavelet(cfg, tracker):
     return checks, ("sigma", "a", "b", "tightness", "n_points"), rows, pointset
 
 
-def _heisenberg_report(cfg, tracker):
+def _heisenberg_report(cfg, cache_dir):
     """``heisenberg_sampling_experiment`` over the cached projector and C_G,
     at x = r sqrt(omega) C_G given by r (default just below 1)."""
     x_target = cfg.r if cfg.r is not None else 1.0 - 5e-6
     if not 0 < x_target < 1:
         raise ConfigError("r plays the role of x = r sqrt(omega) C_G here: need 0 < r < 1")
-    proj = _h1_projector(cfg, tracker)
-    c_g = _cached_c_g(proj.grid, proj, tracker)["c_g"]
+    proj = _h1_projector(cfg, cache_dir)
+    c_g = _cached_c_g(proj.grid, proj, cache_dir)["c_g"]
     return heisenberg_sampling_experiment(
-        proj, c_g, x_target=x_target, seed=cfg.seed, cache_dir=tracker.dir
+        proj, c_g, x_target=x_target, seed=cfg.seed, cache_dir=cache_dir
     )
 
 
-def _exp_heisenberg(cfg, tracker):
-    rep = _heisenberg_report(cfg, tracker)
+def _exp_heisenberg(cfg, cache_dir):
+    rep = _heisenberg_report(cfg, cache_dir)
     rows = [
         {"k": k, "ratio": ratio, "a_pred": rep["a_pred"]}
         for k, ratio in enumerate(rep["ratios"])
@@ -531,7 +515,7 @@ def _exp_heisenberg(cfg, tracker):
     return checks, ("k", "ratio", "a_pred"), rows, None
 
 
-def _partition_r1(cfg, tracker, u, w):
+def _partition_r1(cfg, cache_dir, u, w):
     model = EuclideanModel(1)
     kernel = sinc_kernel(Grid.regular(model, [-32.0], [32.0], (2048,)), 0.5)
 
@@ -545,8 +529,8 @@ def _partition_r1(cfg, tracker, u, w):
     return points, funcs, 1024, 2048
 
 
-def _partition_heis1(cfg, tracker, u, w):
-    proj = _h1_projector(cfg, tracker)
+def _partition_heis1(cfg, cache_dir, u, w):
+    proj = _h1_projector(cfg, cache_dir)
 
     def points(k):
         return _h1_jittered_lattice(proj.grid.model, cfg.seed + 10 * k)
@@ -566,7 +550,7 @@ _PARTITION_MODELS = {
 }
 
 
-def _exp_partition(cfg, tracker):
+def _exp_partition(cfg, cache_dir):
     model_id = cfg.model or "r1"
     if model_id not in _PARTITION_MODELS:
         raise ConfigError("partition experiment runs on model r1 or heis1")
@@ -574,7 +558,7 @@ def _exp_partition(cfg, tracker):
     u = cfg.r if cfg.r is not None else u
     w = cfg.s if cfg.s is not None else w
     tol = cfg.tol("tol_bound", tol)
-    points, funcs, dense_shape, partition_shape = setup(cfg, tracker, u, w)
+    points, funcs, dense_shape, partition_shape = setup(cfg, cache_dir, u, w)
     rows = []
     cert_ok = inv_ok = True
     worst = -math.inf
@@ -606,7 +590,7 @@ _QL_DEFAULTS = {
 }
 
 
-def _exp_quasilattice(cfg, tracker):
+def _exp_quasilattice(cfg, cache_dir):
     model_id = cfg.model or "rn:2"
     if model_id not in _QL_DEFAULTS:
         raise ConfigError("quasilattice experiment runs on model rn:2, affine, or heis1")
@@ -623,7 +607,7 @@ def _exp_quasilattice(cfg, tracker):
     return checks, ("model", "n_points", "min_count", "max_count"), rows, ps
 
 
-def _exp_oscillation(cfg, tracker):
+def _exp_oscillation(cfg, cache_dir):
     model_id = cfg.model or "r1"
     if model_id == "r1":
         grid = Grid.regular(EuclideanModel(1), [-16.0], [16.0], (512,))
@@ -646,8 +630,8 @@ def _exp_oscillation(cfg, tracker):
     rows = []
     worst = -math.inf
     for k in range(20):
-        f = _random_smooth(grid, cfg.seed + 2 * k, spread, widths=(0.5, 1.2))
-        g = _random_smooth(grid, cfg.seed + 2 * k + 1, spread, widths=(0.5, 1.2))
+        f = _random_smooth(grid, cfg.seed + 2 * k, spread)
+        g = _random_smooth(grid, cfg.seed + 2 * k + 1, spread)
         rep = osc_conv_check(f, g, r, n_sample=n_sample, n_dirs=n_dirs, seed=cfg.seed + k)
         worst = max(worst, rep["max_violation"])
         rows.append({"pair": k, "max_violation": rep["max_violation"],
@@ -659,8 +643,8 @@ def _exp_oscillation(cfg, tracker):
     return checks, ("pair", "max_violation", "rhs_scale"), rows, None
 
 
-def _exp_constants(cfg, tracker):
-    proj = _h1_projector(cfg, tracker)
+def _exp_constants(cfg, cache_dir):
+    proj = _h1_projector(cfg, cache_dir)
     grid, omega, model = proj.grid, proj.omega, proj.grid.model
     checks = [
         _check("band-dimension", proj.dim >= 20, dim=proj.dim),
@@ -680,7 +664,7 @@ def _exp_constants(cfg, tracker):
     ratio = haar_scaling_ratio(model, t=t, seed=cfg.seed)
     checks.append(_check("haar-scaling", abs(ratio / t**4 - 1.0) < cfg.tol("tol_haar", 1e-2),
                          ratio=ratio, expected=t**4))
-    consts = _cached_c_g(grid, proj, tracker)
+    consts = _cached_c_g(grid, proj, cache_dir)
     c_g = consts["c_g"]
     scal = oscillation_scaling_check(proj, (0.1, 0.2, 0.4), c_g, seed=cfg.seed)
     rows = [
@@ -715,27 +699,31 @@ def _cache_dir(cfg):
     return os.environ.get("GROUPSAMPLE_CACHE") or os.path.join(cfg.outdir, "cache")
 
 
-def _report(experiment, config, checks, t0, tracker=None, **extra):
+def _start():
+    """Wall clock and cache counts at the start of a run, for ``_report``."""
+    return time.perf_counter(), dict(CACHE_COUNTS)
+
+
+def _report(experiment, config, checks, start, **extra):
     """The report.json of a run, a sweep or a verify: config echo, library
-    version, checks, wall time since t0 and the tracker's cache counts."""
+    version, checks, and the wall time and cache counts since ``start``."""
+    t0, counts0 = start
     return {
         "experiment": experiment,
         "config": config,
         "version": version_hash(),
         "checks": checks,
         "wall_time_s": time.perf_counter() - t0,
-        "cache": {"hits": tracker.hits if tracker else 0,
-                  "misses": tracker.misses if tracker else 0},
+        "cache": {k: CACHE_COUNTS[k] - v for k, v in counts0.items()},
         **extra,
     }
 
 
 def run_experiment(cfg):
     """Execute one experiment; returns (report dict, header, rows, pointset)."""
-    tracker = CacheTracker(_cache_dir(cfg))
-    t0 = time.perf_counter()
-    checks, header, rows, pointset = _RUNNERS[cfg.experiment](cfg, tracker)
-    return _report(cfg.experiment, cfg.echo(), checks, t0, tracker), header, rows, pointset
+    start = _start()
+    checks, header, rows, pointset = _RUNNERS[cfg.experiment](cfg, _cache_dir(cfg))
+    return _report(cfg.experiment, cfg.echo(), checks, start), header, rows, pointset
 
 
 def _emit(cfg, report, header, rows, pointset):
@@ -765,7 +753,7 @@ def _json_default(o):
 # ---------------------------------------------------------------------------
 
 
-def _shannon_sweep_row(cfg, tracker):
+def _shannon_sweep_row(cfg, cache_dir):
     kernel = _shannon_kernel(cfg.resolution if cfg.resolution is not None else 4096)
     gap = cfg.r if cfg.r is not None else 2.0
     rng = np.random.default_rng(cfg.seed)
@@ -777,15 +765,15 @@ def _shannon_sweep_row(cfg, tracker):
     return {"a": fb.a, "b": fb.b, "tightness": fb.tightness}
 
 
-def _beurling_sweep_row(cfg, tracker):
+def _beurling_sweep_row(cfg, cache_dir):
     omega, kernel = _beurling_kernel(cfg)
     r = cfg.r if cfg.r is not None else 1.4 / math.sqrt(omega)
     row = beurling_scan(kernel, [r])[0]
     return {"a": row["a"], "b": row["b"], "tightness": row["tightness"]}
 
 
-def _heisenberg_sweep_row(cfg, tracker):
-    rep = _heisenberg_report(cfg, tracker)
+def _heisenberg_sweep_row(cfg, cache_dir):
+    rep = _heisenberg_report(cfg, cache_dir)
     return {"a": rep["ratio_min"], "b": rep["ratio_max"],
             "tightness": rep["ratio_min"] / rep["a_pred"]}
 
@@ -835,8 +823,7 @@ def run_sweep(cfg, param, values):
         raise ConfigError(
             f"{cfg.experiment} does not read {param!r}; its sweep parameters are {', '.join(params)}"
         )
-    tracker = CacheTracker(_cache_dir(cfg))
-    t0 = time.perf_counter()
+    start = _start()
     vals = [float(v) for v in values]
     rows = []
     for v in vals:
@@ -845,9 +832,9 @@ def run_sweep(cfg, param, values):
             sub.resolution = int(v)
         else:
             setattr(sub, param, v)
-        rows.append({param: v, **row_of(sub.validate(), tracker)})
+        rows.append({param: v, **row_of(sub.validate(), _cache_dir(cfg))})
     check = trends.get(param, _completed_trend)(cfg, vals, rows)
-    report = _report(cfg.experiment, cfg.echo(), [check], t0, tracker,
+    report = _report(cfg.experiment, cfg.echo(), [check], start,
                      sweep={"param": param, "values": vals})
     return report, (param, "a", "b", "tightness"), rows, None
 
@@ -867,7 +854,7 @@ def run_verify(path, model_id, sep, dense):
         raise ConfigError(f"cannot read point set {path}: {e}") from None
     checks = []
     rows = []
-    t0 = time.perf_counter()
+    start = _start()
     for name, what, radius, certify in (("separated", "separation", sep, verify_separated),
                                         ("dense", "density", dense, verify_dense)):
         if radius is None:
@@ -882,7 +869,7 @@ def run_verify(path, model_id, sep, dense):
         raise ConfigError("nothing to verify: pass --sep and/or --dense")
     config = {"pointset": os.path.basename(path), "model": model_id,
               "sep": sep, "dense": dense, "n_points": len(ps)}
-    return _report("verify", config, checks, t0), ("check", "radius", "passed"), rows, ps
+    return _report("verify", config, checks, start), ("check", "radius", "passed"), rows, ps
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,7 @@ from .grids import Grid, GridFunction
 from .groups import EuclideanModel, HeisenbergModel
 from .pointsets import PointSet, Partition, verify_separated, verify_dense
 from .kernels import SpectralProjector
-from .analysis import (
-    oscillation,
-    random_bandlimited,
-    ball_volume,
-    projector_dilation_angle,
-)
+from .analysis import oscillation, random_bandlimited, projector_dilation_angle
 
 __all__ = [
     "FrameSystem",
@@ -364,12 +359,12 @@ def heisenberg_sampling_experiment(
     proj: SpectralProjector,
     c_g: float,
     x_target: float = 0.9,
-    n_funcs: int = 8,
     seed: int = 0,
     cache_dir: str | None = None,
 ) -> dict:
-    """Lower frame bound of the dilated integer-type lattice against the
-    band-space envelope, plus the dilation-covariance check.
+    """Lower frame bound of the dilated integer-type lattice over 8 random
+    band elements against the band-space envelope, plus the
+    dilation-covariance check.
 
     The lattice {(p, q, k/2)} dilated by d is a product set, so the sampled
     energy is evaluated exactly through per-cell power sums: no point
@@ -389,7 +384,7 @@ def heisenberg_sampling_experiment(
         raise ValueError("x_target must lie in (0, 1) for the guaranteed branch")
     d = x_target / (r_cov * math.sqrt(omega) * c_g)
     r = r_cov * d
-    vol_b1 = ball_volume(model)
+    vol_b1 = model.ball_volume()
     b_r = vol_b1 * r**q_hom
     a_pred = omega ** (-q_hom / 2.0) / b_r**2 * (1.0 - r * math.sqrt(omega) * c_g) ** 2
     # alternative placement of the constant (dividing instead of multiplying)
@@ -400,7 +395,7 @@ def heisenberg_sampling_experiment(
 
     steps = (d, d, d * d / 2.0)
     ratios = []
-    for k in range(n_funcs):
+    for k in range(8):
         f = random_bandlimited(proj, seed=seed + k)
         ratios.append(lattice_sum_squares(f, steps) / f.norm_l2() ** 2)
     ratios = np.array(ratios)
@@ -451,15 +446,15 @@ def wavelet_frame_bounds(system, pointset: PointSet, probes, psi: GridFunction =
 
 def beurling_scan(kernel, r_values) -> list:
     """Lower/upper bounds of gap-r arithmetic sets Gamma = rZ on the kernel
-    grid, one row per r.  Gamma covers the whole box: the kernel modes are
-    periodic on it, so an unsampled border would fake a near-null vector."""
+    grid, one row per r.  Gamma covers the whole half-open box [lo, hi): the
+    kernel modes are periodic on it, so an unsampled border would fake a
+    near-null vector, and a sample at hi would repeat the one at lo."""
     grid = kernel.grid
     if not isinstance(grid.model, EuclideanModel) or grid.dim != 1:
         raise ValueError("scan runs on 1-D Euclidean kernels")
     rows = []
     for r in r_values:
-        k0, k1 = math.ceil(grid.lo[0] / r), math.floor(grid.hi[0] / r)
-        pts = (np.arange(k0, k1 + 1) * r)[:, None]
+        pts = (np.arange(math.ceil(grid.lo[0] / r), math.ceil(grid.hi[0] / r)) * r)[:, None]
         ps = PointSet(grid.model, pts, grid.lo, grid.hi)
         fb = FrameSystem(kernel, ps).estimate_bounds()
         rows.append({"r": float(r), "a": fb.a, "b": fb.b, "tightness": fb.tightness, "n_points": len(ps)})

@@ -12,6 +12,11 @@ Chart conventions
 * heis1: exponential coordinates (x, y, t) with the symmetric BCH law
   t3 = t1 + t2 + (x1*y2 - y1*x2)/2.  Homogeneous norm
   ((x^2+y^2)^2 + 16 t^2)^(1/4), dilations (x,y,t) -> (r x, r y, r^2 t).
+
+Each model carries the structure the analysis reads: the dilation weights of
+its coordinates, how a right translation moves the node lattice, a sample of
+its unit sphere, its left-invariant basis fields, the measure of its balls and
+when two balls meet.  What a model lacks raises UnsupportedModelError.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "AffineModel",
     "HeisenbergModel",
     "model_from_id",
+    "UnsupportedModelError",
 ]
 
 
@@ -47,8 +53,19 @@ class GroupModel:
 
     kind: str
     dim: int
-    #: homogeneous dimension, or None (affine group is not stratified)
-    homogeneous_dimension: int | None = None
+    #: dilation weight of each coordinate, or None (the affine group is not
+    #: stratified)
+    weights: tuple | None = None
+    #: how ``balls_overlap`` decides: "exact", or "sampled" on a sphere sample
+    overlap_test = "sampled"
+
+    def _unsupported(self, what):
+        return UnsupportedModelError(f"{self.kind} has no {what}")
+
+    @property
+    def homogeneous_dimension(self) -> int | None:
+        """Sum of the dilation weights, or None without dilations."""
+        return None if self.weights is None else sum(self.weights)
 
     # -- group law -----------------------------------------------------------
 
@@ -65,10 +82,34 @@ class GroupModel:
 
     def norm(self, g) -> np.ndarray:
         """Homogeneous norm |g| (euclidean and heis1 only)."""
-        raise UnsupportedModelError(f"{self.kind} has no homogeneous norm")
+        raise self._unsupported("homogeneous norm")
 
     def dilate(self, t: float, g) -> np.ndarray:
-        raise UnsupportedModelError(f"{self.kind} has no dilations")
+        """delta_t g: each coordinate scaled by t to the power of its weight."""
+        if self.weights is None:
+            raise self._unsupported("dilations")
+        if t <= 0:
+            raise ValueError("dilation parameter must be positive")
+        # t**w as a product: pow(t, 2.0) is not always t * t to the last bit
+        return _as_points(g, self.dim) * np.array([math.prod([t] * w) for w in self.weights])
+
+    def sphere(self, count) -> np.ndarray:
+        """Deterministic sample of the unit sphere of the homogeneous norm."""
+        raise self._unsupported("homogeneous sphere")
+
+    def ball_volume(self, r=1.0) -> float:
+        """Haar measure of the homogeneous ball B_r."""
+        raise self._unsupported("homogeneous ball")
+
+    def field_coefficients(self, i, pts) -> np.ndarray:
+        """Chart coefficients c_d(g) of the i-th left-invariant basis field."""
+        raise self._unsupported("vector fields")
+
+    def node_shift(self, y, spacings):
+        """Integer steps k when right translation by y moves every node of a
+        lattice with these spacings k steps along (x y = x + k h); None when
+        it leaves the lattice."""
+        return None
 
     def haar_weight(self, g) -> np.ndarray:
         """Left Haar density at g in chart coordinates."""
@@ -118,6 +159,17 @@ class GroupModel:
         """
         return 2.0 * s
 
+    def balls_overlap(self, g1, g2, s) -> bool:
+        """Whether the open s-balls around g1 and g2 meet, for centres closer
+        than ``separation_distance(s)``: points of the ball around g1 on
+        dilated sphere directions are tested for membership in the other."""
+        dirs = self.sphere(64)
+        zs = [self.dilate(s * f, dirs) for f in (0.999, 0.75, 0.5, 0.25)]
+        zs.append(np.zeros((1, self.dim)))
+        pts = self.mul(g1[None, :], np.concatenate(zs))
+        dd = self.gauge(self.mul(self.inv(g2)[None, :], pts))
+        return bool(np.any(dd < s - 1e-12))
+
     def random_points(self, n, scale=1.0, rng=None) -> np.ndarray:
         rng = np.random.default_rng(rng)
         return self.from_internal(rng.normal(scale=scale, size=(n, self.dim)))
@@ -128,12 +180,13 @@ class GroupModel:
 
 class EuclideanModel(GroupModel):
     kind = "euclidean"
+    overlap_test = "exact"
 
     def __init__(self, n: int = 1):
         if n < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = n
-        self.homogeneous_dimension = n
+        self.weights = (1,) * n
 
     def model_id(self):
         return f"rn:{self.dim}" if self.dim != 1 else "r1"
@@ -150,19 +203,54 @@ class EuclideanModel(GroupModel):
         g = _as_points(g, self.dim)
         return np.linalg.norm(g, axis=-1)
 
-    def dilate(self, t, g):
-        if t <= 0:
-            raise ValueError("dilation parameter must be positive")
-        return t * _as_points(g, self.dim)
+    def sphere(self, count):
+        n = self.dim
+        if n == 1:
+            return np.array([[1.0], [-1.0]])
+        if n == 2:
+            th = 2 * np.pi * np.arange(count) / count
+            return np.column_stack([np.cos(th), np.sin(th)])
+        if n > 3:
+            raise self._unsupported("sphere sample above dimension 3")
+        # Fibonacci sphere
+        i = np.arange(count)
+        phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+        zc = 1 - 2 * (i + 0.5) / count
+        rr = np.sqrt(1 - zc**2)
+        return np.column_stack([rr * np.cos(phi), rr * np.sin(phi), zc])
+
+    def ball_volume(self, r=1.0):
+        if self.dim == 1:
+            return 2.0 * r
+        if self.dim == 2:
+            return math.pi * r**2
+        if self.dim == 3:
+            return 4.0 / 3.0 * math.pi * r**3
+        raise self._unsupported("ball volume above dimension 3")
+
+    def field_coefficients(self, i, pts):
+        c = np.zeros(pts.shape)
+        c[..., i] = 1.0
+        return c
+
+    def node_shift(self, y, spacings):
+        k = np.asarray(y, dtype=float) / spacings
+        steps = np.rint(k)
+        return steps.astype(int) if np.max(np.abs(k - steps)) < 1e-9 else None
 
     def ball_box(self, p, r):
         p = _as_points(p, self.dim)
         return p - r, p + r
 
+    def balls_overlap(self, g1, g2, s):
+        # open Euclidean balls meet exactly when the centres are closer than 2s
+        return True
+
 
 class AffineModel(GroupModel):
     kind = "affine"
     dim = 2
+    overlap_test = "exact"
 
     def identity(self):
         return np.array([1.0, 0.0])
@@ -232,11 +320,21 @@ class AffineModel(GroupModel):
         # g2^-1 g1 = z2 z1^-1, whose |log a| <= 2s and |b| <= s + e^{2s} s
         return s * (1.0 + math.exp(2.0 * s))
 
+    def balls_overlap(self, g1, g2, s):
+        # g1 z1 = g2 z2 with z2 = h z1, h = g2^-1 g1 = (alpha, beta): z1 = (a, b)
+        # needs |log a|, |log a + log alpha| < s and |b|, |beta + alpha b| < s
+        alpha, beta = self.mul(self.inv(g2), g1)
+        la = math.log(alpha)
+        return bool(
+            max(-s, -s - la) < min(s, s - la)
+            and max(-s, (-s - beta) / alpha) < min(s, (s - beta) / alpha)
+        )
+
 
 class HeisenbergModel(GroupModel):
     kind = "heis1"
     dim = 3
-    homogeneous_dimension = 4
+    weights = (1, 1, 2)
 
     def model_id(self):
         return "heis1"
@@ -262,15 +360,41 @@ class HeisenbergModel(GroupModel):
         r2 = g[..., 0] ** 2 + g[..., 1] ** 2
         return (r2**2 + 16.0 * g[..., 2] ** 2) ** 0.25
 
-    def dilate(self, t, g):
-        if t <= 0:
-            raise ValueError("dilation parameter must be positive")
-        g = _as_points(g, 3)
-        out = np.empty_like(g)
-        out[..., 0] = t * g[..., 0]
-        out[..., 1] = t * g[..., 1]
-        out[..., 2] = t * t * g[..., 2]
-        return out
+    def sphere(self, count):
+        # |(x,y,t)| = 1 on the slice: t = s/4, (x,y) = (1-s^2)^(1/4) e(phi)
+        n_phi = max(4, int(np.sqrt(count)))
+        n_s = max(3, count // n_phi)
+        phi = 2 * np.pi * np.arange(n_phi) / n_phi
+        s = np.linspace(-1.0, 1.0, n_s)
+        P, S = np.meshgrid(phi, s, indexing="ij")
+        pr = (1 - S**2) ** 0.25
+        return np.stack([pr * np.cos(P), pr * np.sin(P), S / 4.0], axis=-1).reshape(-1, 3)
+
+    def ball_volume(self, r=1.0):
+        # midpoint quadrature on n^2 cells of the bounding box of B_1:
+        # x^2+y^2 <= 1, |t| <= 1/4, where 16 t^2 <= 1 - (x^2+y^2)^2; scaled
+        # by homogeneity
+        n = 160
+        ax = np.linspace(-1, 1, n, endpoint=False) + 1.0 / n
+        X, Y = np.meshgrid(ax, ax, indexing="ij")
+        r2 = X**2 + Y**2
+        tmax = np.sqrt(np.clip(1.0 - r2**2, 0.0, None)) / 4.0
+        vol1 = float(np.sum(2.0 * tmax) * (2.0 / n) ** 2)
+        return vol1 * r**self.homogeneous_dimension
+
+    def field_coefficients(self, i, pts):
+        c = np.zeros(pts.shape)
+        if i == 0:  # X = dx - (y/2) dt
+            c[..., 0] = 1.0
+            c[..., 2] = -pts[..., 1] / 2.0
+        elif i == 1:  # Y = dy + (x/2) dt
+            c[..., 1] = 1.0
+            c[..., 2] = pts[..., 0] / 2.0
+        elif i == 2:  # T = dt
+            c[..., 2] = 1.0
+        else:
+            raise ValueError("heis1 has three basis fields")
+        return c
 
     def ball_box(self, p, r):
         # |x|, |y| < r and 4|t| < r^2 on B_r; the group law shears t by
@@ -280,7 +404,6 @@ class HeisenbergModel(GroupModel):
         half[..., :2] = r
         half[..., 2] = r * (r / 4.0 + (np.abs(p[..., 0]) + np.abs(p[..., 1])) / 2.0)
         return p - half, p + half
-
 
 
 def model_from_id(model_id: str) -> GroupModel:

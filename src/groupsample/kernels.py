@@ -164,24 +164,20 @@ def admissibility_constant(psi: GridFunction) -> float:
     return float(np.sum(np.abs(spec[pos]) ** 2 / xi[pos]) * (1.0 / (n * h)))
 
 
-def mexican_hat(grid: Grid, width: float = 1.0) -> GridFunction:
-    """Second Gaussian derivative, normalized to unit admissibility."""
-    psi = GridFunction.from_callable(
-        grid, lambda s: (1.0 - (s / width) ** 2) * np.exp(-(s**2) / (2.0 * width**2))
-    )
+def mexican_hat(grid: Grid) -> GridFunction:
+    """Second Gaussian derivative of width 1, normalized to unit admissibility."""
+    psi = GridFunction.from_callable(grid, lambda s: (1.0 - s**2) * np.exp(-(s**2) / 2.0))
     c = admissibility_constant(psi)
     return psi * (1.0 / math.sqrt(c))
 
 
-def wavelet_transform(
-    phi: GridFunction, psi: GridFunction, affine_grid: Grid, leak_tol: float = 0.05
-) -> GridFunction:
+def wavelet_transform(phi: GridFunction, psi: GridFunction, affine_grid: Grid) -> GridFunction:
     """V_psi phi (a, b) = <phi, pi(a,b) psi> on the affine grid.
 
     pi(a,b)psi(s) = a^{-1/2} psi((s-b)/a).  The scale axis of the grid is
     logarithmic (internal coordinate u = ln a).  Raises when the grid misses
-    more than ``leak_tol`` of the signal energy (isometry defect), which
-    signals that the scale/shift window does not cover phi's content.
+    more than 5% of the signal energy (isometry defect), which signals that
+    the scale/shift window does not cover phi's content.
     """
     if not isinstance(affine_grid.model, AffineModel):
         raise ValueError("target grid must be affine")
@@ -197,45 +193,41 @@ def wavelet_transform(
         out[i] = hs * (phi.values[None, :] @ np.conj(tpl))[0] / math.sqrt(a)
     W = GridFunction(affine_grid, out)
     defect = abs(W.norm_l2() - phi.norm_l2()) / phi.norm_l2()
-    if defect > leak_tol:
+    if defect > 0.05:
         raise ValueError(
             f"affine grid misses the scale content of the signal "
-            f"(isometry defect {defect:.3f} > {leak_tol})"
+            f"(isometry defect {defect:.3f} > 0.05)"
         )
     return W
 
 
-def cosine_taper_bump(affine_grid: Grid, u_half: float = 0.5, b_half: float = 0.5) -> GridFunction:
-    """Compactly supported cos^2 bump around the identity in (ln a, b)."""
+def cosine_taper_bump(affine_grid: Grid) -> GridFunction:
+    """Compactly supported cos^2 bump on |ln a|, |b| < 1 around the identity."""
 
     def fn(u, b):
-        m = (np.abs(u) < u_half) & (np.abs(b) < b_half)
-        return np.where(
-            m,
-            np.cos(np.pi * u / (2 * u_half)) ** 2 * np.cos(np.pi * b / (2 * b_half)) ** 2,
-            0.0,
-        )
+        m = (np.abs(u) < 1.0) & (np.abs(b) < 1.0)
+        return np.where(m, np.cos(np.pi * u / 2.0) ** 2 * np.cos(np.pi * b / 2.0) ** 2, 0.0)
 
     return GridFunction.from_callable(affine_grid, fn, chart=False)
 
 
-def box_offsets(model, half_widths, n_per_axis: int = 5):
+def box_offsets(model, half_widths):
     """Offset sample of a coordinate box around the identity (internal coords),
-    including the box corners; used as the set U for models without a
-    homogeneous norm."""
+    5 per axis including the box corners; used as the set U for models
+    without a homogeneous norm."""
     half = np.asarray(half_widths, dtype=float)
-    axes = [np.linspace(-w, w, n_per_axis) for w in half]
+    axes = [np.linspace(-w, w, 5) for w in half]
     mesh = np.meshgrid(*axes, indexing="ij")
     u = np.stack(mesh, axis=-1).reshape(-1, model.dim)
     u = u[np.any(u != 0, axis=1)]
     return model.from_internal(u)
 
 
-def oscillation_l1_box(f: GridFunction, half_widths, n_per_axis: int = 5) -> float:
+def oscillation_l1_box(f: GridFunction, half_widths) -> float:
     """||osc_U f||_1 with U the internal-coordinate box; Haar-weighted L1."""
     from .analysis import oscillation
 
-    offs = box_offsets(f.grid.model, half_widths, n_per_axis)
+    offs = box_offsets(f.grid.model, half_widths)
     # the radius argument only sizes the default ball sample; explicit
     # offsets bypass it
     osc = oscillation(f, r=1.0, offsets=offs)
@@ -367,7 +359,8 @@ class WaveletSystem:
         return {"rows": rows, "u_star": found, "c_factor": self.c_factor}
 
 
-def _conv_hstar_at(F: GridFunction, h: GridFunction, points_chart, chunk: int = 64):
+def _conv_hstar_at(F: GridFunction, h: GridFunction, points_chart):
+    chunk = 64
     model = F.grid.model
     hg = h.grid
     w = hg.weights().reshape(-1)
@@ -385,32 +378,21 @@ def _conv_hstar_at(F: GridFunction, h: GridFunction, points_chart, chunk: int = 
     return out
 
 
-def mollified_vector(
-    psi: GridFunction,
-    affine_grid: Grid,
-    h: GridFunction | None = None,
-    probes=None,
-) -> WaveletSystem:
-    """Build the wavelet system of the convolution identity.
+def mollified_vector(psi: GridFunction, affine_grid: Grid, h: GridFunction) -> WaveletSystem:
+    """Build the wavelet system of the convolution identity with mollifier h.
 
-    ``h`` defaults to the cosine-taper bump; probes default to shifted,
-    dilated copies of the wavelet itself.  Rejects h whose projection onto
-    the transform range vanishes (probe norms below 1e-10).
+    The probes are shifted, dilated copies of the wavelet itself.  Rejects h
+    whose projection onto the transform range vanishes (probe norms below
+    1e-10).
     """
-    model = affine_grid.model
-    if h is None:
-        h = cosine_taper_bump(affine_grid)
-    if probes is None:
-        sgrid = psi.grid
-        probes = []
-        for shift, width in [(0.0, 1.0), (0.7, 1.3), (-1.1, 0.8)]:
-            probes.append(
-                GridFunction.from_callable(
-                    sgrid,
-                    lambda s, sh=shift, wd=width: (1 - ((s - sh) / wd) ** 2)
-                    * np.exp(-((s - sh) ** 2) / (2 * wd**2)),
-                )
-            )
+    probes = [
+        GridFunction.from_callable(
+            psi.grid,
+            lambda s, sh=shift, wd=width: (1 - ((s - sh) / wd) ** 2)
+            * np.exp(-((s - sh) ** 2) / (2 * wd**2)),
+        )
+        for shift, width in [(0.0, 1.0), (0.7, 1.3), (-1.1, 0.8)]
+    ]
     adm = admissibility_constant(psi)
     nodes = affine_grid.points().reshape(-1, 2)
     c_best = 0.0

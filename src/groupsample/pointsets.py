@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupModel, EuclideanModel, HeisenbergModel, AffineModel, model_from_id
+from .groups import GroupModel, EuclideanModel, HeisenbergModel, AffineModel
 from .grids import Grid
 
 __all__ = [
@@ -202,50 +202,25 @@ def verify_separated(ps: PointSet, s: float) -> Certificate:
     Two balls are disjoint when their centres lie at gauge distance at least
     ``model.separation_distance(s)``: 2s where the gauge is subadditive (R^n,
     H1), s (1 + e^{2s}) for the affine box gauge.  Only the closer pairs are
-    checked further.  On R^n those pairs are exactly the overlapping ones, and
-    affine balls are coordinate boxes whose overlap is decided exactly; on H1
-    points of one ball on dilated sphere directions are tested for membership
-    in the other, a sampled check.  ``detail["overlap_test"]`` says which.
+    checked further, by ``model.balls_overlap``.  On R^n those pairs are
+    exactly the overlapping ones, and affine balls are coordinate boxes whose
+    overlap is decided exactly; on H1 points of one ball on dilated sphere
+    directions are tested for membership in the other, a sampled check.
+    ``detail["overlap_test"]`` says which.
     """
     if s <= 0:
         raise ValueError("radius must be positive")
     model = ps.model
-    detail = {"overlap_test": "sampled" if isinstance(model, HeisenbergModel) else "exact",
-              "exact_pairs": 0}
+    detail = {"overlap_test": model.overlap_test, "exact_pairs": 0}
     i, j, _ = _near_pairs(model, ps.points, ps.points, model.separation_distance(s))
     for a, b in zip(i[i < j], j[i < j]):
         detail["exact_pairs"] += 1
-        if _balls_overlap(model, ps.points[a], ps.points[b], s):
+        if model.balls_overlap(ps.points[a], ps.points[b], s):
             return Certificate(
                 "separated", s, False, witness=(ps.points[a], ps.points[b]),
                 n_checked=len(ps), detail=detail,
             )
     return Certificate("separated", s, True, n_checked=len(ps), detail=detail)
-
-
-def _balls_overlap(model, g1, g2, s):
-    """Whether the open s-balls around g1 and g2 meet, for centres closer
-    than ``model.separation_distance(s)``."""
-    if isinstance(model, EuclideanModel):
-        # open Euclidean balls meet exactly when the centres are closer than 2s
-        return True
-    if isinstance(model, AffineModel):
-        # g1 z1 = g2 z2 with z2 = h z1, h = g2^-1 g1 = (alpha, beta): z1 = (a, b)
-        # needs |log a|, |log a + log alpha| < s and |b|, |beta + alpha b| < s
-        alpha, beta = model.mul(model.inv(g2), g1)
-        la = math.log(alpha)
-        return bool(
-            max(-s, -s - la) < min(s, s - la)
-            and max(-s, (-s - beta) / alpha) < min(s, (s - beta) / alpha)
-        )
-    from .analysis import _sphere_directions  # shared direction sample
-
-    dirs = _sphere_directions(model, 64)
-    zs = [model.dilate(s * f, dirs) for f in (0.999, 0.75, 0.5, 0.25)]
-    zs.append(np.zeros((1, model.dim)))
-    pts = model.mul(g1[None, :], np.concatenate(zs))
-    dd = model.gauge(model.mul(model.inv(g2)[None, :], pts))
-    return bool(np.any(dd < s - 1e-12))
 
 
 def verify_dense(ps: PointSet, r: float, shape=64) -> Certificate:

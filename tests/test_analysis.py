@@ -8,6 +8,7 @@ from groupsample import (
     HeisenbergModel,
     Grid,
     GridFunction,
+    interpolate,
     convolve,
     oscillation,
     osc_conv_check,
@@ -17,7 +18,6 @@ from groupsample import (
     sublaplacian_spectrum,
     random_bandlimited,
     oscillation_scaling_check,
-    ball_volume,
     estimate_constants,
 )
 from groupsample.analysis import homogeneity_degree, projector_dilation_angle
@@ -133,10 +133,10 @@ def test_projection_idempotent(h1_proj):
 
 
 def test_ball_volume_closed_forms():
-    assert ball_volume(EuclideanModel(1), 2.0) == pytest.approx(4.0)
-    assert ball_volume(EuclideanModel(2), 1.0) == pytest.approx(np.pi)
-    v1 = ball_volume(HeisenbergModel(), 1.0)
-    v2 = ball_volume(HeisenbergModel(), 2.0)
+    assert EuclideanModel(1).ball_volume(2.0) == pytest.approx(4.0)
+    assert EuclideanModel(2).ball_volume(1.0) == pytest.approx(np.pi)
+    v1 = HeisenbergModel().ball_volume(1.0)
+    v2 = HeisenbergModel().ball_volume(2.0)
     assert v2 / v1 == pytest.approx(16.0)
     # Koranyi unit ball: slice thickness sqrt(1 - rho^4)/2 integrates to pi^2/8
     assert v1 == pytest.approx(np.pi**2 / 8.0, rel=2e-2)
@@ -196,3 +196,39 @@ def test_estimate_constants_flags_verified_b(tmp_path, monkeypatch):
     est = estimate_constants(grid, proj, b_scan=(0.5, 1.0))
     assert est.metadata["b_verified"] is True
     assert est.b == 0.5
+
+
+def _reference_oscillation(f, offsets):
+    """sup over the offsets of |f(x) - f(x - y)| on the nodes: lattice
+    offsets move node values by whole index steps (zero from outside the
+    box), any other offset is interpolated."""
+    grid = f.grid
+    column = (-1,) + (1,) * grid.dim  # one entry per axis, broadcast over nodes
+    out = np.zeros(grid.shape)
+    for y in offsets:
+        k = y / grid.spacings
+        if np.max(np.abs(k - np.rint(k))) < 1e-9:
+            idx = np.indices(grid.shape) - np.rint(k).astype(int).reshape(column)
+            inside = np.all((idx >= 0) & (idx < np.reshape(grid.shape, column)), axis=0)
+            fy = np.zeros(grid.shape, dtype=complex)
+            fy[inside] = f.values[tuple(i[inside] for i in idx)]
+        else:
+            fy = interpolate(f.values, grid, grid.nodes_internal() - y)
+        out = np.maximum(out, np.abs(f.values - fy))
+    return out
+
+
+@pytest.mark.parametrize(
+    "model,shape", [(EuclideanModel(1), (128,)), (EuclideanModel(2), (24, 20))],
+    ids=["r1", "rn2"],
+)
+def test_oscillation_matches_shift_and_interpolation_reference(model, shape):
+    grid = Grid.regular(model, [-3.0] * model.dim, [3.0] * model.dim, shape)
+    rng = np.random.default_rng(8)
+    f = GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    for r in (0.3, 0.8):
+        offsets = analysis.ball_offsets(model, r, grid.spacings)
+        # both kinds of offset occur
+        n_lattice = sum(model.node_shift(y, grid.spacings) is not None for y in offsets)
+        assert 0 < n_lattice < len(offsets)
+        assert np.array_equal(oscillation(f, r).values, _reference_oscillation(f, offsets))

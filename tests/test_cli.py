@@ -179,13 +179,18 @@ def test_sweep_rejects_parameter_not_read(tmp_path, experiment, param):
 
 
 def test_line_experiments_match_reference(tmp_path):
-    # the 7 line-workload experiments at seed 0 through the CLI's own runner
-    # and writer: verdicts and table.csv bytes as recorded in the reference
+    # the 7 line-workload experiments at seed 0, and the H1 oscillation
+    # experiment of the h1-sampling workload (it reads no cache), through
+    # the CLI's own runner and writer: verdicts and table.csv bytes as
+    # recorded in the reference
     ref_path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench",
                             "reference.json")
     with open(ref_path) as fh:
-        reference = json.load(fh)["workloads"]["line"]["0"]
+        workloads = json.load(fh)["workloads"]
+    reference = dict(workloads["line"]["0"])
     assert len(reference) == 7
+    h1_label = "oscillation model=heis1 resolution=5"
+    reference[h1_label] = workloads["h1-sampling"]["0"][h1_label]
     for i, (label, expected) in enumerate(sorted(reference.items())):
         experiment, *overrides = label.split()
         raw = {"experiment": experiment, "seed": "0", "outdir": str(tmp_path / str(i)),
@@ -196,6 +201,20 @@ def test_line_experiments_match_reference(tmp_path):
         assert [[c["name"], c["verdict"]] for c in out[0]["checks"]] == expected["verdicts"], label
         digest = hashlib.sha256((tmp_path / str(i) / "table.csv").read_bytes()).hexdigest()
         assert digest == expected["digest"], label
+
+
+def test_report_counts_every_cache_lookup(tmp_path, monkeypatch):
+    # heisenberg reads three cache entries: the band projector, C_G, and the
+    # projector of the dilation-angle check inside the library
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("GROUPSAMPLE_CACHE", str(cache))
+    cfg = ExperimentConfig(experiment="heisenberg", resolution=9,
+                           outdir=str(tmp_path / "out")).validate()
+    first = run_experiment(cfg)[0]["cache"]
+    assert len(list(cache.iterdir())) == 3
+    assert (first["misses"], first["hits"]) == (3, 0)
+    again = run_experiment(cfg)[0]["cache"]
+    assert (again["misses"], again["hits"]) == (0, 3)
 
 
 def test_experiment_config_validation():
@@ -225,7 +244,7 @@ def test_constants_cache_write_is_atomic(tmp_path, monkeypatch):
         ball_volume_1=1.0, c_g=2.5, metadata={"b_verified": False},
     )
     monkeypatch.setattr(cli, "estimate_constants", lambda grid, proj: est)
-    tracker = cli.CacheTracker(str(tmp_path))
+    counts0 = dict(cli.CACHE_COUNTS)
 
     def broken_dump(obj, fh, **kwargs):
         fh.write('{"c_g": ')
@@ -233,20 +252,21 @@ def test_constants_cache_write_is_atomic(tmp_path, monkeypatch):
 
     with monkeypatch.context() as m, pytest.raises(OSError):
         m.setattr(json, "dump", broken_dump)
-        cli._cached_c_g(grid, proj, tracker)
+        cli._cached_c_g(grid, proj, str(tmp_path))
     assert list(tmp_path.iterdir()) == []
 
-    data = cli._cached_c_g(grid, proj, tracker)
+    data = cli._cached_c_g(grid, proj, str(tmp_path))
     assert (data["c_g"], data["b_verified"]) == (2.5, False)
     (path,) = tmp_path.iterdir()
-    assert cli._cached_c_g(grid, proj, tracker) == data
-    assert (tracker.misses, tracker.hits) == (2, 1)
+    assert cli._cached_c_g(grid, proj, str(tmp_path)) == data
+    assert (cli.CACHE_COUNTS["misses"] - counts0["misses"],
+            cli.CACHE_COUNTS["hits"] - counts0["hits"]) == (2, 1)
 
     # a file written before the flag existed reports it as unknown
     old = json.loads(path.read_text())
     del old["b_verified"]
     path.write_text(json.dumps(old))
-    assert cli._cached_c_g(grid, proj, tracker)["b_verified"] is None
+    assert cli._cached_c_g(grid, proj, str(tmp_path))["b_verified"] is None
 
 
 def test_import_loads_no_scipy_signal_or_spatial():

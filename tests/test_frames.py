@@ -204,3 +204,13 @@ def test_beurling_scan_requires_1d():
     kernel = sinc_kernel(grid, 0.5)
     with pytest.raises(ValueError):
         beurling_scan(kernel, [1.0])
+
+
+def test_beurling_scan_leaves_out_the_high_endpoint():
+    # r = 0.5 divides the width of [-32, 32): the half-open box holds 128
+    # multiples of r, and x = 32, the periodic image of -32, is not sampled
+    grid = Grid.regular(EuclideanModel(1), [-32.0], [32.0], (2048,))
+    (row,) = beurling_scan(sinc_kernel(grid, 0.5), [0.5])
+    assert row["n_points"] == 128
+    assert row["a"] == pytest.approx(2.0, abs=1e-9)
+    assert row["b"] == pytest.approx(2.0, abs=1e-9)

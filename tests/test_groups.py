@@ -7,6 +7,7 @@ from groupsample import (
     HeisenbergModel,
     model_from_id,
 )
+from groupsample.groups import UnsupportedModelError
 
 MODELS = [EuclideanModel(1), EuclideanModel(2), AffineModel(), HeisenbergModel()]
 
@@ -127,3 +128,41 @@ def test_model_from_id():
 def test_model_from_id_rejects_rn_above_3():
     with pytest.raises(ValueError, match="N <= 3"):
         model_from_id("rn:4")
+
+
+@pytest.mark.parametrize("model", [EuclideanModel(1), EuclideanModel(2)], ids=lambda m: m.model_id())
+def test_node_shift_euclidean(model):
+    h = np.array([0.25, 0.5])[: model.dim]
+    steps = model.node_shift(np.array([0.75, -1.0])[: model.dim], h)
+    assert steps.dtype.kind == "i"
+    assert np.array_equal(steps, np.array([3, -2])[: model.dim])
+    assert model.node_shift(np.array([0.8, -1.0])[: model.dim], h) is None
+
+
+@pytest.mark.parametrize("model", [HeisenbergModel(), AffineModel()], ids=lambda m: m.model_id())
+def test_node_shift_none_off_euclidean(model):
+    # node offsets of these groups shear or scale the lattice
+    assert model.node_shift(model.identity(), np.full(model.dim, 0.5)) is None
+    assert model.node_shift(np.full(model.dim, 1.0), np.full(model.dim, 0.5)) is None
+
+
+def test_heisenberg_dilate_squares_by_product():
+    model = HeisenbergModel()
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(5, 3))
+    for t in rng.uniform(0.01, 10.0, size=2000):
+        out = model.dilate(t, g)
+        assert np.array_equal(out[:, 2], t * t * g[:, 2])
+        assert np.array_equal(out[:, :2], t * g[:, :2])
+
+
+def test_affine_lacks_stratified_structure():
+    model = AffineModel()
+    assert model.weights is None and model.homogeneous_dimension is None
+    g = np.array([[1.5, 0.2]])
+    with pytest.raises(UnsupportedModelError):
+        model.dilate(2.0, g)
+    with pytest.raises(UnsupportedModelError):
+        model.sphere(16)
+    with pytest.raises(UnsupportedModelError):
+        model.field_coefficients(0, g)

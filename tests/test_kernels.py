@@ -31,7 +31,7 @@ def affine_grid():
 @pytest.fixture(scope="module")
 def wavelet_system(line_grid, affine_grid):
     psi = mexican_hat(line_grid)
-    h = cosine_taper_bump(affine_grid, 1.0, 1.0)
+    h = cosine_taper_bump(affine_grid)
     return mollified_vector(psi, affine_grid, h=h)
 
 
@@ -97,7 +97,7 @@ def test_wavelet_transform_detects_leakage(line_grid):
 
 
 def test_cosine_taper_support(affine_grid):
-    h = cosine_taper_bump(affine_grid, 1.0, 1.0)
+    h = cosine_taper_bump(affine_grid)
     u = affine_grid.nodes_internal()
     outside = (np.abs(u[..., 0]) >= 1.0) | (np.abs(u[..., 1]) >= 1.0)
     assert np.all(np.abs(h.values[outside]) == 0.0)
