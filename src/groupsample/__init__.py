@@ -13,16 +13,13 @@ from .pointsets import (
     PointSet,
     Certificate,
     Partition,
-    greedy_separated_dense,
     verify_separated,
     verify_dense,
     build_partition,
     quasilattice_semidirect,
     tiling_check,
-    dilate_set,
 )
 from .analysis import (
-    convolve,
     oscillation,
     osc_conv_check,
     vector_field_apply,
@@ -41,7 +38,6 @@ from .kernels import (
     BasisKernel,
     SincKernel,
     SpectralProjector,
-    sinc_kernel,
     admissibility_constant,
     mexican_hat,
     wavelet_transform,

@@ -1,5 +1,5 @@
-"""Group convolution, oscillation, left-invariant derivatives, the
-sub-Laplacian eigensolver, and estimation of the oscillation constants.
+"""Oscillation and the convolution inequality, left-invariant derivatives,
+the sub-Laplacian eigensolver, and estimation of the oscillation constants.
 
 The discrete band space at bandwidth ``omega`` is the span of the
 eigenvectors of the discrete sub-Laplacian (Dirichlet on the chart box) with
@@ -23,13 +23,11 @@ from .groups import UnsupportedModelError
 from .kernels import SpectralProjector
 
 __all__ = [
-    "convolve",
     "oscillation",
     "ball_offsets",
     "osc_conv_check",
     "vector_field_apply",
     "apply_multiindex",
-    "homogeneity_degree",
     "sublaplacian_matrix",
     "sublaplacian_spectrum",
     "random_bandlimited",
@@ -38,66 +36,6 @@ __all__ = [
     "oscillation_scaling_check",
     "projector_dilation_angle",
 ]
-
-
-# ---------------------------------------------------------------------------
-# convolution
-# ---------------------------------------------------------------------------
-
-
-def _fft_full_convolution(a, b):
-    """Full linear convolution of two arrays by a zero-padded FFT product."""
-    shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
-    axes = tuple(range(a.ndim))
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        fwd, back = np.fft.fftn, np.fft.ifftn
-    else:
-        fwd, back = np.fft.rfftn, np.fft.irfftn
-    return back(fwd(a, shape, axes) * fwd(b, shape, axes), shape, axes)
-
-
-def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Group convolution (f*g)(x) = int f(y) g(y^-1 x) dy on a shared grid.
-
-    Where right translation by the origin's position moves the node lattice
-    by whole steps (R^n grids whose nodes contain the origin) the sum is a
-    zero-padded FFT product (identical to the direct quadrature sum up to
-    rounding).  Elsewhere it is evaluated directly with multilinear
-    interpolation; values outside the box count as zero.
-    """
-    if f.grid != g.grid:
-        raise ValueError("convolve requires a shared grid")
-    grid = f.grid
-    origin = grid.model.node_shift(-grid.lo, grid.spacings)
-    if origin is not None:
-        cell = float(np.prod(grid.spacings))
-        full = _fft_full_convolution(f.values, g.values) * cell
-        sl = tuple(slice(s, s + n) for s, n in zip(origin, grid.shape))
-        return GridFunction(grid, full[sl])
-    out = convolve_at(f, g, grid.points().reshape(-1, grid.dim))
-    return GridFunction(grid, out.reshape(grid.shape))
-
-
-def convolve_at(f: GridFunction, g: GridFunction, points_chart):
-    """Direct quadrature evaluation of (f*g) at arbitrary chart points."""
-    chunk = 256
-    grid = f.grid
-    model = grid.model
-    w = grid.weights().reshape(-1)
-    fv = f.values.reshape(-1)
-    supp = np.nonzero(np.abs(fv) > 0)[0]
-    z = grid.points().reshape(-1, grid.dim)[supp]
-    zinv = model.inv(z)
-    coef = (w[supp] * fv[supp])[:, None]
-    pts = np.asarray(points_chart, dtype=float).reshape(-1, grid.dim)
-    out = np.zeros(len(pts), dtype=np.complex128)
-    for start in range(0, len(pts), chunk):
-        blk = pts[start : start + chunk]
-        # q[z, x] = z^-1 x
-        q = model.mul(zinv[:, None, :], blk[None, :, :])
-        gv = interpolate(g.values, grid, model.to_internal(q))
-        out[start : start + chunk] = np.sum(coef * gv, axis=0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +90,7 @@ def _integer_shift(values, shift):
     return out
 
 
-def oscillation(f: GridFunction, r: float, offsets=None, n_dirs: int = 32) -> GridFunction:
+def oscillation(f: GridFunction, r: float, offsets=None) -> GridFunction:
     """Discrete modulus of continuity sup_{y in B_r} |f(x) - f(x y^-1)|.
 
     The sup runs over a deterministic sample of the ball (node offsets plus
@@ -167,7 +105,7 @@ def oscillation(f: GridFunction, r: float, offsets=None, n_dirs: int = 32) -> Gr
     grid = f.grid
     model = grid.model
     if offsets is None:
-        offsets = ball_offsets(model, r, grid.spacings, n_dirs=n_dirs)
+        offsets = ball_offsets(model, r, grid.spacings)
     offsets = np.asarray(offsets, dtype=float)
     if len(offsets) == 0:
         raise ValueError("empty oscillation offset sample")
@@ -289,11 +227,6 @@ def apply_multiindex(alpha, f: GridFunction) -> GridFunction:
         for _ in range(int(k)):
             out = vector_field_apply(i, out)
     return out
-
-
-def homogeneity_degree(model, alpha) -> int:
-    """d(alpha): dilation weight of the monomial operator X^alpha."""
-    return int(sum(w * a for w, a in zip(_weights(model), alpha)))
 
 
 def _weights(model):
@@ -483,7 +416,6 @@ class ConstantEstimates:
     c_ku: float  # local Sobolev constant for (K, U) = (B_b, B_2b), lower-bound estimate
     b: float  # mean-value sup-region dilation factor (empirical fit)
     bernstein_norms: dict  # multiindex -> empirical ||X^alpha||_{E_1 -> L2}
-    degrees: dict  # multiindex -> homogeneity degree d(alpha)
     ball_volume_1: float  # |B_1| by quadrature
     c_g: float
     metadata: dict = field(default_factory=dict)
@@ -615,7 +547,6 @@ def estimate_constants(
     # --- Bernstein norms over the eigenbasis ------------------------------
     alphas = _multiindices(n, n + 1)
     bern = {}
-    degs = {}
     for a in alphas:
         best = 0.0
         for i in range(proj_e1.dim):
@@ -623,7 +554,6 @@ def estimate_constants(
             val = apply_multiindex(a, e).norm_l2() / e.norm_l2()
             best = max(best, val)
         bern[a] = best
-        degs[a] = homogeneity_degree(model, a)
 
     vol1 = model.ball_volume()
     c_g = ConstantEstimates.assemble(n, q, b_est, c_ku, vol1, bern)
@@ -631,7 +561,6 @@ def estimate_constants(
         c_ku=c_ku,
         b=b_est,
         bernstein_norms=bern,
-        degrees=degs,
         ball_volume_1=vol1,
         c_g=c_g,
         metadata={

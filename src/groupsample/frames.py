@@ -1,5 +1,5 @@
 """Frame layer: sampling operator, frame operator, bound estimates,
-dual-frame reconstruction, quasi-interpolation, and theorem-level verdicts.
+reconstruction, quasi-interpolation, and theorem-level verdicts.
 
 Everything runs in coefficient space: a kernel supplies an orthonormal basis
 {e_i} of the discrete space H, a point set Gamma supplies the evaluation
@@ -10,6 +10,7 @@ frame bounds, and reconstruction solves M c = rhs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .grids import Grid, GridFunction
 from .groups import EuclideanModel, HeisenbergModel
-from .pointsets import PointSet, Partition, verify_separated, verify_dense
+from .pointsets import PointSet, Partition, verify_separated, verify_dense, gap_lattice
 from .kernels import SpectralProjector
 from .analysis import oscillation, random_bandlimited, projector_dilation_angle
 
@@ -30,6 +31,7 @@ __all__ = [
     "lattice_sum_squares",
     "heisenberg_sampling_experiment",
     "wavelet_frame_bounds",
+    "beurling_scan",
 ]
 
 
@@ -83,14 +85,9 @@ class FrameSystem:
         vals = np.linalg.eigvalsh(self.M)
         return FrameBounds(float(vals[0]), float(vals[-1]))
 
-    def reconstruct(
-        self,
-        samples,
-        method: str = "cg",
-        bounds: FrameBounds | None = None,
-        tol: float = 1e-10,
-        maxiter: int = 2000,
-    ) -> ReconstructionResult:
+    def reconstruct(self, samples, bounds: FrameBounds | None = None) -> ReconstructionResult:
+        """Solve M c = V^* samples by conjugate gradients, to a relative
+        residual below 1e-10 or 2000 iterations."""
         samples = np.asarray(samples)
         rhs = np.conj(self.V) @ samples
         if bounds is None:
@@ -98,51 +95,24 @@ class FrameSystem:
         if bounds.a <= 1e-12 * max(bounds.b, 1.0):
             raise ValueError("not a frame at solver tolerance (A ~ 0); cannot reconstruct")
         rhs_n = np.linalg.norm(rhs)
-        history = []
-        if method == "richardson":
-            lam = 2.0 / (bounds.a + bounds.b)
-            c = np.zeros_like(rhs)
-            for it in range(1, maxiter + 1):
-                r = rhs - self.M @ c
-                rn = float(np.linalg.norm(r) / rhs_n)
-                history.append(rn)
-                if rn < tol:
-                    break
-                c = c + lam * r
-        elif method == "cg":
-            c = np.zeros_like(rhs)
-            r = rhs.copy()
-            p = r.copy()
-            rs = float(np.real(np.vdot(r, r)))
-            it = 0
-            for it in range(1, maxiter + 1):
-                Mp = self.M @ p
-                alpha = rs / float(np.real(np.vdot(p, Mp)))
-                c = c + alpha * p
-                r = r - alpha * Mp
-                rs_new = float(np.real(np.vdot(r, r)))
-                history.append(math.sqrt(rs_new) / rhs_n)
-                if history[-1] < tol:
-                    break
-                p = r + (rs_new / rs) * p
-                rs = rs_new
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        c = np.zeros_like(rhs)
+        r = rhs.copy()
+        p = r.copy()
+        rs = float(np.real(np.vdot(r, r)))
+        for it in range(1, 2001):
+            Mp = self.M @ p
+            alpha = rs / float(np.real(np.vdot(p, Mp)))
+            c = c + alpha * p
+            r = r - alpha * Mp
+            rs_new = float(np.real(np.vdot(r, r)))
+            residual = math.sqrt(rs_new) / rhs_n
+            if residual < 1e-10:
+                break
+            p = r + (rs_new / rs) * p
+            rs = rs_new
         return ReconstructionResult(
-            function=self.kernel.synthesize(c),
-            residual=history[-1] if history else 0.0,
-            iterations=it,
+            function=self.kernel.synthesize(c), residual=residual, iterations=it
         )
-
-    def dual_frame(self, index: int, bounds: FrameBounds | None = None) -> GridFunction:
-        """e~_gamma = S^{-1} p_gamma for the index-th sample point."""
-        if bounds is None:
-            bounds = self.estimate_bounds()
-        if bounds.a <= 1e-12 * max(bounds.b, 1.0):
-            raise ValueError("not a frame; dual undefined")
-        rhs = np.conj(self.V[:, index])
-        c = np.linalg.solve(self.M, rhs)
-        return self.kernel.synthesize(c)
 
 
 # ---------------------------------------------------------------------------
@@ -309,45 +279,18 @@ def lattice_sum_squares(f: GridFunction, steps, offsets=None) -> float:
         h = grid.spacings[d]
         nodes = np.concatenate([[nodes[0] - h], nodes, [grid.hi[d]]])
         slabs.append(_axis_slab_sums(nodes, h, steps[d], offsets[d]))
+    # C[cell..., corner bits...]: the node values at the corners of each
+    # cell, the ghost cells included
     v = np.pad(f.values, [(1, 1)] * grid.dim)
-    if grid.dim == 1:
-        C = np.stack([v[:-1], v[1:]], axis=-1)
-        return float(np.real(np.einsum("ai,al,ail->", C, np.conj(C), slabs[0])))
-    if grid.dim == 3:
-        C = np.stack(
-            [
-                np.stack([v[:-1, :-1, :-1], v[:-1, :-1, 1:]], axis=-1),
-                np.stack([v[:-1, 1:, :-1], v[:-1, 1:, 1:]], axis=-1),
-            ],
-            axis=-2,
-        )
-        C = np.stack(
-            [
-                C,
-                np.stack(
-                    [
-                        np.stack([v[1:, :-1, :-1], v[1:, :-1, 1:]], axis=-1),
-                        np.stack([v[1:, 1:, :-1], v[1:, 1:, 1:]], axis=-1),
-                    ],
-                    axis=-2,
-                ),
-            ],
-            axis=-3,
-        )  # (cx, cy, ct, 2, 2, 2) with corner indices (i, j, k)
-        return float(
-            np.real(
-                np.einsum(
-                    "abcijk,abclmn,ail,bjm,ckn->",
-                    C,
-                    np.conj(C),
-                    slabs[0],
-                    slabs[1],
-                    slabs[2],
-                    optimize=True,
-                )
-            )
-        )
-    raise ValueError("lattice sums implemented for 1-D and 3-D grids")
+    cells = tuple(n + 1 for n in grid.shape)
+    C = np.empty(cells + (2,) * grid.dim, dtype=v.dtype)
+    for bits in itertools.product((0, 1), repeat=grid.dim):
+        C[(...,) + bits] = v[tuple(slice(b, b + n) for b, n in zip(bits, cells))]
+    # one cell index, two corner indices and one slab per axis; for 3-D
+    # "abcijk,abclmn,ail,bjm,ckn->"
+    cell, left, right = "abc"[: grid.dim], "ijk"[: grid.dim], "lmn"[: grid.dim]
+    subs = ",".join([cell + left, cell + right] + ["".join(t) for t in zip(cell, left, right)])
+    return float(np.real(np.einsum(subs + "->", C, np.conj(C), *slabs, optimize=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +329,9 @@ def heisenberg_sampling_experiment(
     r = r_cov * d
     vol_b1 = model.ball_volume()
     b_r = vol_b1 * r**q_hom
+    # the envelope's (1 - x)^2 with x = r sqrt(omega) C_G, the quantity the
+    # dilation is chosen from
     a_pred = omega ** (-q_hom / 2.0) / b_r**2 * (1.0 - r * math.sqrt(omega) * c_g) ** 2
-    # alternative placement of the constant (dividing instead of multiplying)
-    x_alt = r * math.sqrt(omega) / c_g
-    a_pred_alt = (
-        omega ** (-q_hom / 2.0) / b_r**2 * (1.0 - x_alt) ** 2 if x_alt < 1 else None
-    )
 
     steps = (d, d, d * d / 2.0)
     ratios = []
@@ -407,17 +347,15 @@ def heisenberg_sampling_experiment(
         "r_dense": float(r),
         "x": float(x_target),
         "a_pred": float(a_pred),
-        "a_pred_alt_placement": None if a_pred_alt is None else float(a_pred_alt),
         "ratio_min": float(ratios.min()),
         "ratio_max": float(ratios.max()),
         "ratios": ratios.tolist(),
-        "density_heuristic": float(2.0 / d**4),
         "guaranteed_pass": bool(ratios.min() >= a_pred * 0.9),
         "dilation_angle": float(angle),
     }
 
 
-def wavelet_frame_bounds(system, pointset: PointSet, probes, psi: GridFunction = None) -> FrameBounds:
+def wavelet_frame_bounds(system, pointset: PointSet, probes) -> FrameBounds:
     """Frame bounds of (pi(gamma) eta) restricted to the probe subspace.
 
     Probes are orthonormalized in L^2(R); the bound matrix is the Gram of
@@ -454,8 +392,7 @@ def beurling_scan(kernel, r_values) -> list:
         raise ValueError("scan runs on 1-D Euclidean kernels")
     rows = []
     for r in r_values:
-        pts = (np.arange(math.ceil(grid.lo[0] / r), math.ceil(grid.hi[0] / r)) * r)[:, None]
-        ps = PointSet(grid.model, pts, grid.lo, grid.hi)
+        ps = PointSet(grid.model, gap_lattice(grid.lo[0], grid.hi[0], r)[:, None], grid.lo, grid.hi)
         fb = FrameSystem(kernel, ps).estimate_bounds()
         rows.append({"r": float(r), "a": fb.a, "b": fb.b, "tightness": fb.tightness, "n_points": len(ps)})
     return rows

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupModel, model_from_id
+from .groups import GroupModel
 
 __all__ = ["Grid", "GridFunction", "interpolate"]
 
@@ -188,12 +187,8 @@ class GridFunction:
             v2 = v2 * mask
         return float(np.sqrt(np.sum(w * v2)))
 
-    def norm_l1(self, mask=None) -> float:
-        w = self.grid.weights()
-        v = np.abs(self.values)
-        if mask is not None:
-            v = v * mask
-        return float(np.sum(w * v))
+    def norm_l1(self) -> float:
+        return float(np.sum(self.grid.weights() * np.abs(self.values)))
 
     def norm_sup(self, mask=None) -> float:
         v = np.abs(self.values)
@@ -223,36 +218,3 @@ class GridFunction:
         return GridFunction(self.grid, self.values * c)
 
     __rmul__ = __mul__
-
-    # -- serialization -------------------------------------------------------
-
-    MAGIC = b"GSGF"
-
-    def save(self, path):
-        header = json.dumps(
-            {
-                "model": self.grid.model.model_id(),
-                "lo": self.grid.lo.tolist(),
-                "hi": self.grid.hi.tolist(),
-                "shape": list(self.grid.shape),
-            }
-        ).encode()
-        with open(path, "wb") as fh:
-            fh.write(self.MAGIC)
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            data = np.ascontiguousarray(self.values, dtype="<c16")
-            fh.write(data.tobytes())
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            if fh.read(4) != cls.MAGIC:
-                raise ValueError("not a grid-function file")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            meta = json.loads(fh.read(hlen).decode())
-            grid = Grid.regular(
-                model_from_id(meta["model"]), meta["lo"], meta["hi"], tuple(meta["shape"])
-            )
-            values = np.frombuffer(fh.read(), dtype="<c16").reshape(grid.shape)
-        return cls(grid, values.copy())

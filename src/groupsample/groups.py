@@ -111,11 +111,6 @@ class GroupModel:
         it leaves the lattice."""
         return None
 
-    def haar_weight(self, g) -> np.ndarray:
-        """Left Haar density at g in chart coordinates."""
-        g = _as_points(g, self.dim)
-        return np.ones(g.shape[:-1])
-
     # -- internal (grid) coordinates ----------------------------------------
     # Grids are uniform in internal coordinates; for the affine group these
     # are (log a, b), elsewhere they coincide with the chart.
@@ -275,10 +270,6 @@ class AffineModel(GroupModel):
         out[..., 0] = 1.0 / g[..., 0]
         out[..., 1] = -g[..., 1] / g[..., 0]
         return out
-
-    def haar_weight(self, g):
-        g = self._check(g)
-        return 1.0 / g[..., 0] ** 2
 
     def to_internal(self, g):
         g = self._check(g)

@@ -5,10 +5,9 @@ range space on the affine group.
 The sinc kernel and the spectral projector share one discrete interface,
 :class:`BasisKernel`: an orthonormal basis of the space (evaluable at
 arbitrary chart points through ``basis_at``, and on the grid nodes as the
-matrix ``basis_matrix``), the orthogonal projection onto the space, and
-reproducing vectors p_x.  Coefficients, synthesis, projection and
-reproducing vectors are read off the basis matrix, which each kernel builds
-at most once.  The frame layer consumes only this interface.
+matrix ``basis_matrix``) and reproducing vectors p_x.  Coefficients,
+synthesis and reproducing vectors are read off the basis matrix, which each
+kernel builds at most once.  The frame layer consumes only this interface.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ __all__ = [
     "BasisKernel",
     "SincKernel",
     "SpectralProjector",
-    "sinc_kernel",
+    "mexican_hats",
     "mexican_hat",
     "admissibility_constant",
     "wavelet_transform",
@@ -57,15 +56,6 @@ class BasisKernel:
         x = np.asarray(x, dtype=float).reshape(1, self.grid.dim)
         return self.synthesize(np.conj(self.basis_at(x)[:, 0]))
 
-    def project(self, f: GridFunction) -> GridFunction:
-        return self.synthesize(self.coefficients(f))
-
-    def membership_defect(self, f: GridFunction) -> float:
-        nrm = f.norm_l2()
-        if nrm == 0:
-            return 0.0
-        return (self.project(f) - f).norm_l2() / nrm
-
 
 class SincKernel(BasisKernel):
     """Band-limited space on a Euclidean grid: modes with |nu_d| < band.
@@ -88,18 +78,12 @@ class SincKernel(BasisKernel):
         mask = np.ones(grid.shape, dtype=bool)
         for f in mesh:
             mask &= np.abs(f) < band
-        self.mask = mask
         self.freqs = np.stack([f[mask] for f in mesh], axis=-1)  # (m, dim) cycles
         self._basis = None
 
     @property
     def dim(self) -> int:
-        return int(self.mask.sum())
-
-    def project(self, f: GridFunction) -> GridFunction:
-        spec = np.fft.fftn(f.values)
-        spec[~self.mask] = 0.0
-        return GridFunction(self.grid, np.fft.ifftn(spec))
+        return len(self.freqs)
 
     def basis_at(self, points_chart) -> np.ndarray:
         """Orthonormal basis values, shape (dim, n_points); exact everywhere."""
@@ -139,10 +123,6 @@ class SpectralProjector(BasisKernel):
         return self.eigenvectors.reshape(self.dim, -1)
 
 
-def sinc_kernel(grid: Grid, band: float) -> SincKernel:
-    return SincKernel(grid, band)
-
-
 # ---------------------------------------------------------------------------
 # wavelets on the affine group
 # ---------------------------------------------------------------------------
@@ -164,11 +144,20 @@ def admissibility_constant(psi: GridFunction) -> float:
     return float(np.sum(np.abs(spec[pos]) ** 2 / xi[pos]) * (1.0 / (n * h)))
 
 
+def mexican_hats(grid: Grid, params) -> list:
+    """Mexican hats (1 - u^2) exp(-u^2 / 2), u = (s - shift) / width, on a
+    line grid, one per (shift, width) in ``params``; not normalized."""
+    (s,) = np.moveaxis(grid.points(), -1, 0)
+    return [
+        GridFunction(grid, (1 - ((s - sh) / wd) ** 2) * np.exp(-((s - sh) ** 2) / (2 * wd**2)))
+        for sh, wd in params
+    ]
+
+
 def mexican_hat(grid: Grid) -> GridFunction:
     """Second Gaussian derivative of width 1, normalized to unit admissibility."""
-    psi = GridFunction.from_callable(grid, lambda s: (1.0 - s**2) * np.exp(-(s**2) / 2.0))
-    c = admissibility_constant(psi)
-    return psi * (1.0 / math.sqrt(c))
+    (psi,) = mexican_hats(grid, [(0.0, 1.0)])
+    return psi * (1.0 / math.sqrt(admissibility_constant(psi)))
 
 
 def wavelet_transform(phi: GridFunction, psi: GridFunction, affine_grid: Grid) -> GridFunction:
@@ -246,10 +235,6 @@ class WaveletSystem:
     admissibility: float
     metadata: dict = field(default_factory=dict)
 
-    def transform_eta_at(self, w_phi: GridFunction, points_chart) -> np.ndarray:
-        """(V_psi phi * h^*)(x) = sum_z w_z V_psi phi(x z) conj(h(z)) over supp h."""
-        return _conv_hstar_at(w_phi, self.h, points_chart)
-
     def eta_on_line(self, s_grid: Grid) -> GridFunction:
         """The analyzing vector eta = V_psi^* h realized on the line.
 
@@ -276,15 +261,14 @@ class WaveletSystem:
         self.metadata["_eta_cache"] = (key, eta)
         return eta
 
-    def transform_eta_direct(self, phi: GridFunction, points_chart, s_grid: Grid | None = None) -> np.ndarray:
+    def transform_eta_direct(self, phi: GridFunction, points_chart) -> np.ndarray:
         """V_eta phi(gamma) = <phi, pi(gamma) eta> by direct line quadrature.
 
         Points are grouped by scale; each scale is one vectorized
         correlation.  Free of affine-grid interpolation error."""
-        if s_grid is None:
-            lo, hi = phi.grid.lo[0], phi.grid.hi[0]
-            n_eta = max(8192, phi.grid.shape[0])
-            s_grid = Grid.regular(phi.grid.model, [1.5 * lo], [1.5 * hi], (n_eta,))
+        lo, hi = phi.grid.lo[0], phi.grid.hi[0]
+        n_eta = max(8192, phi.grid.shape[0])
+        s_grid = Grid.regular(phi.grid.model, [1.5 * lo], [1.5 * hi], (n_eta,))
         eta = self.eta_on_line(s_grid)
         tau_full = s_grid.axis(0)
         htau = float(s_grid.spacings[0])
@@ -328,19 +312,17 @@ class WaveletSystem:
                 out[sel[j0 : j0 + blk]] = math.sqrt(a) * (ec @ fv.reshape(arg.shape))
         return out
 
-    def h_star(self, grid: Grid | None = None) -> GridFunction:
+    def h_star(self) -> GridFunction:
         """h^*(x) = conj(h(x^-1)) sampled on an affine grid covering supp(h)^-1."""
         model = self.h.grid.model
-        if grid is None:
-            pts = self.h.grid.points().reshape(-1, 2)
-            nz = pts[np.abs(self.h.values.reshape(-1)) > 1e-14]
-            u_max = float(np.abs(np.log(nz[:, 0])).max())
-            # inverse support: u -> -u, b -> -b e^{-u}
-            b_max = float(np.abs(nz[:, 1]).max()) * math.exp(u_max)
-            grid = Grid.regular(
-                model, [-u_max - 0.2, -b_max - 0.2], [u_max + 0.2, b_max + 0.2],
-                (128, 192),
-            )
+        pts = self.h.grid.points().reshape(-1, 2)
+        nz = pts[np.abs(self.h.values.reshape(-1)) > 1e-14]
+        u_max = float(np.abs(np.log(nz[:, 0])).max())
+        # inverse support: u -> -u, b -> -b e^{-u}
+        b_max = float(np.abs(nz[:, 1]).max()) * math.exp(u_max)
+        grid = Grid.regular(
+            model, [-u_max - 0.2, -b_max - 0.2], [u_max + 0.2, b_max + 0.2], (128, 192)
+        )
         x = grid.points().reshape(-1, 2)
         vals = np.conj(self.h.at(model.inv(x)))
         return GridFunction(grid, vals.reshape(grid.shape))
@@ -385,14 +367,7 @@ def mollified_vector(psi: GridFunction, affine_grid: Grid, h: GridFunction) -> W
     whose projection onto the transform range vanishes (probe norms below
     1e-10).
     """
-    probes = [
-        GridFunction.from_callable(
-            psi.grid,
-            lambda s, sh=shift, wd=width: (1 - ((s - sh) / wd) ** 2)
-            * np.exp(-((s - sh) ** 2) / (2 * wd**2)),
-        )
-        for shift, width in [(0.0, 1.0), (0.7, 1.3), (-1.1, 0.8)]
-    ]
+    probes = mexican_hats(psi.grid, [(0.0, 1.0), (0.7, 1.3), (-1.1, 0.8)])
     adm = admissibility_constant(psi)
     nodes = affine_grid.points().reshape(-1, 2)
     c_best = 0.0

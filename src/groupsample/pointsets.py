@@ -20,13 +20,13 @@ __all__ = [
     "PointSet",
     "Certificate",
     "Partition",
-    "greedy_separated_dense",
     "verify_separated",
     "verify_dense",
     "build_partition",
     "quasilattice_semidirect",
     "tiling_check",
-    "dilate_set",
+    "hyperbolic_lattice",
+    "gap_lattice",
 ]
 
 
@@ -158,44 +158,6 @@ def _near_pairs(model, x, pts, r):
     return i[k], j[k], d[k]
 
 
-def greedy_separated_dense(model, lo, hi, r, shape=None):
-    """Maximal r-separated subset of a candidate grid over [lo, hi).
-
-    Greedy maximality makes the output B_r-dense on the candidate grid while
-    pairwise gauge distances stay >= r, hence the translated balls of radius
-    s are disjoint wherever ``model.separation_distance(s) <= r``.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if shape is None:
-        shape = tuple(max(2, int(np.ceil((h - l) / (r / 10.0)))) for l, h in zip(lo, hi))
-    grid = Grid.regular(model, lo, hi, shape)
-    if np.max(grid.spacings) >= r / 8.0:
-        raise ValueError(
-            f"candidate grid too coarse: spacing {np.max(grid.spacings):g} must be < r/8 = {r / 8.0:g}"
-        )
-    cand = grid.points().reshape(-1, model.dim)
-    # deterministic scan order
-    order = np.lexsort(
-        tuple(cand[:, d] for d in reversed(range(model.dim))) + (model.gauge(cand),)
-    )
-    cand = cand[order]
-
-    accepted = []
-    alive = np.ones(len(cand), dtype=bool)
-    while True:
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        g = cand[idx[0]]
-        accepted.append(g)
-        d = model.gauge(model.mul(model.inv(g)[None, :], cand[idx]))
-        alive[idx[d < r]] = False
-    return PointSet(model, np.array(accepted), lo, hi)
-
-
 def verify_separated(ps: PointSet, s: float) -> Certificate:
     """Pairwise disjointness of the gauge balls of radius s around the points.
 
@@ -263,13 +225,6 @@ class Partition:
     order: np.ndarray  # enumeration order used by the recursion
     w_radius: float
     u_radius: float
-
-    def cell_measures(self) -> np.ndarray:
-        w = self.grid.weights().reshape(-1)
-        a = self.assignment.reshape(-1)
-        out = np.zeros(len(self.pointset))
-        np.add.at(out, a, w)
-        return out
 
     def check_invariants(self) -> dict:
         """Disjoint cover and W subset V_gamma subset U at grid resolution."""
@@ -425,10 +380,6 @@ def hyperbolic_lattice(model, sigma, beta, ell_range, b_extent) -> PointSet:
     return PointSet(model, pts, lo, hi)
 
 
-def dilate_set(ps: PointSet, r: float) -> PointSet:
-    """Pointwise dilation; certified radii scale by r with the norm."""
-    model = ps.model
-    pts = model.dilate(r, ps.points)
-    lo = model.to_internal(model.dilate(r, model.from_internal(ps.lo)))
-    hi = model.to_internal(model.dilate(r, model.from_internal(ps.hi)))
-    return PointSet(model, pts, lo, hi)
+def gap_lattice(lo, hi, gap) -> np.ndarray:
+    """The multiples of ``gap`` in the half-open interval [lo, hi)."""
+    return np.arange(math.ceil(lo / gap), math.ceil(hi / gap)) * gap

@@ -5,10 +5,12 @@ experiment runs are shared session-wide and their eigensolves come from the
 persistent cache directory.
 """
 
+import hashlib
 import time
 
 import pytest
 
+from groupsample import cli
 from groupsample.cli import ExperimentConfig, run_experiment
 
 
@@ -21,8 +23,9 @@ def _run(experiment, outroot, tag=None, **kw):
     name = tag or experiment
     cfg = ExperimentConfig(experiment=experiment, outdir=str(outroot / name), **kw).validate()
     t0 = time.perf_counter()
-    report, _, rows, _ = run_experiment(cfg)
+    report, header, rows, _ = run_experiment(cfg)
     report["elapsed_s"] = time.perf_counter() - t0
+    report["header"] = header
     report["rows"] = rows
     return report
 
@@ -135,7 +138,7 @@ def test_criterion_05_osc_conv_heisenberg(osc_h):
     assert c["worst_violation"] < 1e-4
 
 
-def test_criterion_06_wavelet_pipeline(wavelet):
+def test_criterion_06_wavelet_pipeline(wavelet, tmp_path):
     scan = _passes(wavelet, "hypothesis-scan")
     assert scan["u_star"] is not None
     pos = _passes(wavelet, "lower-bound-positive")
@@ -144,6 +147,12 @@ def test_criterion_06_wavelet_pipeline(wavelet):
     t = mono["tightness"]
     assert t[0] > t[1] > t[2]
     assert wavelet["elapsed_s"] < 300.0
+    # the table's bytes through the CLI's own writer, as `groupsample run`
+    # writes them
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, wavelet["header"], wavelet["rows"])
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "2e43bd930c4d2deba961803fbee6150334b0556e07643c7ca63689540bf4be83"
 
 
 def test_criterion_07_spectral_layer(constants):

@@ -9,7 +9,6 @@ from groupsample import (
     Grid,
     GridFunction,
     interpolate,
-    convolve,
     oscillation,
     osc_conv_check,
     vector_field_apply,
@@ -20,7 +19,7 @@ from groupsample import (
     oscillation_scaling_check,
     estimate_constants,
 )
-from groupsample.analysis import homogeneity_degree, projector_dilation_angle
+from groupsample.analysis import projector_dilation_angle
 
 
 def _gauss(grid, center, width):
@@ -29,26 +28,6 @@ def _gauss(grid, center, width):
     for d in range(grid.dim):
         e += (pts[..., d] - center[d]) ** 2
     return GridFunction(grid, np.exp(-e / (2 * width**2)))
-
-
-def test_convolve_matches_direct_sum():
-    grid = Grid.regular(EuclideanModel(1), [-8.0], [8.0], (128,))
-    f = _gauss(grid, [0.5], 0.6)
-    g = _gauss(grid, [-0.3], 0.8)
-    c = convolve(f, g)
-    # direct quadrature oracle at a few nodes
-    x = grid.points().reshape(-1)
-    w = grid.spacings[0]
-    for i in (20, 64, 100):
-        direct = w * np.sum(f.values.real * np.interp(x[i] - x, x, g.values.real))
-        assert c.values.reshape(-1)[i].real == pytest.approx(direct, abs=1e-10)
-
-
-def test_convolve_commutes_euclidean():
-    grid = Grid.regular(EuclideanModel(1), [-8.0], [8.0], (128,))
-    f = _gauss(grid, [0.7], 0.5)
-    g = _gauss(grid, [-1.0], 0.9)
-    assert np.allclose(convolve(f, g).values, convolve(g, f).values, atol=1e-10)
 
 
 def test_oscillation_linear_function():
@@ -92,13 +71,6 @@ def test_vector_fields_heisenberg_polynomials():
     assert np.allclose(tf[m], 1.0, atol=1e-9)
 
 
-def test_homogeneity_degrees():
-    model = HeisenbergModel()
-    assert homogeneity_degree(model, (1, 0, 0)) == 1
-    assert homogeneity_degree(model, (0, 0, 1)) == 2
-    assert homogeneity_degree(model, (1, 1, 1)) == 4
-
-
 def test_apply_multiindex_matches_composition():
     grid = Grid.regular(HeisenbergModel(), [-2.0] * 3, [2.0] * 3, (17,) * 3)
     f = _gauss(grid, [0.0, 0.0, 0.0], 0.8)
@@ -128,7 +100,7 @@ def test_spectrum_bernstein_and_cache(h1_grid, h1_proj, cache_dir):
 
 def test_projection_idempotent(h1_proj):
     f = random_bandlimited(h1_proj, seed=4)
-    pf = h1_proj.project(f)
+    pf = h1_proj.synthesize(h1_proj.coefficients(f))
     assert (pf - f).norm_l2() < 1e-10 * f.norm_l2()
 
 

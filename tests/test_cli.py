@@ -240,8 +240,8 @@ def test_constants_cache_write_is_atomic(tmp_path, monkeypatch):
     grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
     proj = SpectralProjector(grid, 1.0, np.zeros(1), np.ones((1,) + grid.shape))
     est = ConstantEstimates(
-        c_ku=1.0, b=3.0, bernstein_norms={(1, 0, 0): 1.0}, degrees={(1, 0, 0): 1},
-        ball_volume_1=1.0, c_g=2.5, metadata={"b_verified": False},
+        c_ku=1.0, b=3.0, bernstein_norms={(1, 0, 0): 1.0}, ball_volume_1=1.0, c_g=2.5,
+        metadata={"b_verified": False},
     )
     monkeypatch.setattr(cli, "estimate_constants", lambda grid, proj: est)
     counts0 = dict(cli.CACHE_COUNTS)
@@ -280,3 +280,25 @@ def test_import_loads_no_scipy_signal_or_spatial():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_layer_exports_match_definitions():
+    # every __all__ entry of a layer exists, and every name the package
+    # imports from a layer is in that layer's __all__
+    import ast
+    import importlib
+
+    import groupsample
+
+    with open(groupsample.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, []).extend(a.name for a in node.names)
+    layers = ("groups", "grids", "pointsets", "analysis", "kernels", "frames")
+    assert set(imported) <= set(layers)
+    for layer in layers:
+        mod = importlib.import_module(f"groupsample.{layer}")
+        assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], layer
+        assert [n for n in imported.get(layer, ()) if n not in mod.__all__] == [], layer

@@ -53,16 +53,6 @@ def test_inner_product_conjugate_symmetry():
     assert f.inner(h) == pytest.approx(np.conj(h.inner(f)))
 
 
-def test_save_load_roundtrip(tmp_path):
-    g = Grid.regular(HeisenbergModel(), [-1.0] * 3, [1.0] * 3, (5, 5, 5))
-    f = GridFunction.from_callable(g, lambda x, y, t: x * y + 1j * t)
-    path = tmp_path / "f.gsgf"
-    f.save(path)
-    back = GridFunction.load(path)
-    assert back.grid == f.grid
-    assert np.allclose(back.values, f.values)
-
-
 def test_dilated_grid_heisenberg():
     g = Grid.regular(HeisenbergModel(), [-1.0] * 3, [1.0] * 3, (5, 5, 5))
     d = g.dilated(2.0)

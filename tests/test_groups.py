@@ -110,10 +110,11 @@ def test_ball_box_holds_ball(model):
 
 
 def test_affine_haar_weight():
+    # da db / a^2 in the internal coordinates (ln a, b) is e^{-ln a} d(ln a) db
     model = AffineModel()
     g = np.array([[2.0, 1.0], [0.5, -3.0]])
-    w = model.haar_weight(g)
-    assert np.allclose(w, [0.25, 4.0])
+    w = model.haar_density_internal(model.to_internal(g))
+    assert np.allclose(w, [0.5, 2.0])
 
 
 def test_model_from_id():
