@@ -53,7 +53,7 @@ def ball_offsets(model, r, spacings, n_dirs=32):
     spacings = np.asarray(spacings, dtype=float)
     offs = []
     # node-lattice offsets inside the ball's bounding box
-    _, hi = model.ball_box(model.identity()[None, :], r)
+    _, hi, _ = model.ball_box(model.identity()[None, :], r)
     reach = np.floor(hi[0] / spacings).astype(int)
     if np.prod(2 * reach + 1) <= 8 * max_grid_offsets:
         axes = [np.arange(-k, k + 1) * h for k, h in zip(reach, spacings)]
@@ -73,11 +73,12 @@ def ball_offsets(model, r, spacings, n_dirs=32):
 
 
 def _integer_shift(values, shift):
-    """Array translated by ``shift`` node steps, zero-filled at the edges."""
+    """Array translated by ``shift`` node steps along its trailing axes,
+    zero-filled at the edges."""
     out = np.zeros_like(values)
-    src = []
-    dst = []
-    for k, n in zip(shift, values.shape):
+    src = [...]
+    dst = [...]
+    for k, n in zip(shift, values.shape[values.ndim - len(shift):]):
         if abs(k) >= n:
             return out
         if k >= 0:
@@ -90,19 +91,26 @@ def _integer_shift(values, shift):
     return out
 
 
-def oscillation(f: GridFunction, r: float, offsets=None) -> GridFunction:
-    """Discrete modulus of continuity sup_{y in B_r} |f(x) - f(x y^-1)|.
+def oscillation(fs, r: float, offsets=None) -> list:
+    """Discrete modulus of continuity sup_{y in B_r} |f(x) - f(x y^-1)| of
+    each function of the sequence ``fs``, which share one grid; one
+    GridFunction per function, in order.
 
     The sup runs over a deterministic sample of the ball (node offsets plus
     interpolated boundary shells); it is therefore an under-estimate of the
     continuum sup, which every inequality check here accounts for.  Explicit
     ``offsets`` (chart coordinates) override the ball sample.  An offset
     that moves the node lattice by whole steps (``model.node_shift``) is an
-    exact shift; any other is interpolated.
+    exact shift; any other is interpolated, once per offset for all the
+    functions.
     """
     if r <= 0:
         raise ValueError("oscillation radius must be positive")
-    grid = f.grid
+    if not len(fs):
+        raise ValueError("no functions to take the oscillation of")
+    grid = fs[0].grid
+    if any(f.grid != grid for f in fs[1:]):
+        raise ValueError("shared grid required")
     model = grid.model
     if offsets is None:
         offsets = ball_offsets(model, r, grid.spacings)
@@ -110,16 +118,17 @@ def oscillation(f: GridFunction, r: float, offsets=None) -> GridFunction:
     if len(offsets) == 0:
         raise ValueError("empty oscillation offset sample")
 
+    values = np.stack([f.values for f in fs])
     x = model.from_internal(grid.nodes_internal())
-    out = np.zeros(grid.shape)
+    out = np.zeros(values.shape)
     for y in offsets:
         steps = model.node_shift(y, grid.spacings)
         if steps is None:
-            fy = interpolate(f.values, grid, model.to_internal(model.mul(x, model.inv(y))))
+            fy = interpolate(values, grid, model.to_internal(model.mul(x, model.inv(y))))
         else:
-            fy = _integer_shift(f.values, steps)
-        np.maximum(out, np.abs(f.values - fy), out=out)
-    return GridFunction(grid, out)
+            fy = _integer_shift(values, steps)
+        np.maximum(out, np.abs(values - fy), out=out)
+    return [GridFunction(grid, o) for o in out]
 
 
 def osc_conv_check(
@@ -582,14 +591,13 @@ def oscillation_scaling_check(
     Reports the per-radius ratios, the linear fit of ratio against r, and
     whether every ratio stays below r times the supplied constant.
     """
+    if not all(0 < r <= 1 for r in r_list):
+        raise ValueError("radii must lie in (0, 1]")
     rows = []
+    fs = [random_bandlimited(proj_e1, seed=seed + k) for k in range(8)]
     for r in r_list:
-        if not 0 < r <= 1:
-            raise ValueError("radii must lie in (0, 1]")
-        ratios = []
-        for k in range(8):
-            f = random_bandlimited(proj_e1, seed=seed + k)
-            ratios.append(oscillation(f, r).norm_l2() / f.norm_l2())
+        oscs = oscillation(fs, r)
+        ratios = [o.norm_l2() / f.norm_l2() for o, f in zip(oscs, fs)]
         rows.append({"r": float(r), "ratios": ratios, "max_ratio": max(ratios)})
     rs = np.array([row["r"] for row in rows])
     ms = np.array([row["max_ratio"] for row in rows])

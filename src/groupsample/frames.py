@@ -53,7 +53,6 @@ class FrameBounds:
 @dataclass
 class ReconstructionResult:
     function: GridFunction
-    residual: float
     iterations: int
 
 
@@ -105,14 +104,11 @@ class FrameSystem:
             c = c + alpha * p
             r = r - alpha * Mp
             rs_new = float(np.real(np.vdot(r, r)))
-            residual = math.sqrt(rs_new) / rhs_n
-            if residual < 1e-10:
+            if math.sqrt(rs_new) / rhs_n < 1e-10:
                 break
             p = r + (rs_new / rs) * p
             rs = rs_new
-        return ReconstructionResult(
-            function=self.kernel.synthesize(c), residual=residual, iterations=it
-        )
+        return ReconstructionResult(function=self.kernel.synthesize(c), iterations=it)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +171,9 @@ def theorem35_verdict(
             family.append(c)
 
     eps = 0.0
-    for c in family:
-        f = kernel.synthesize(c)
-        ratio = oscillation(f, u_radius).norm_l2() / f.norm_l2()
-        eps = max(eps, ratio)
+    fs = [kernel.synthesize(c) for c in family]
+    for f, osc in zip(fs, oscillation(fs, u_radius)):
+        eps = max(eps, osc.norm_l2() / f.norm_l2())
 
     # quadrature measures of the discretized balls
     u_meas = _ball_measure(grid, u_radius)
@@ -223,16 +218,16 @@ def _ball_measure(grid: Grid, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _axis_slab_sums(nodes, h, step, offset=0.0):
+def _axis_slab_sums(nodes, h, step):
     """Per-cell 2x2 Gram of the linear hat coefficients against the
-    arithmetic progression {offset + step*k} inside each cell [x0, x0 + h).
+    arithmetic progression {step*k} inside each cell [x0, x0 + h).
 
     Returns array (n_cells, 2, 2).  Uses closed-form power sums, so the cost
     is independent of the number of lattice points.
     """
     x0 = nodes[:-1]
-    p0 = np.ceil((x0 - offset) / step - 1e-12)
-    p1 = np.ceil((x0 + h - offset) / step - 1e-12) - 1.0
+    p0 = np.ceil(x0 / step - 1e-12)
+    p1 = np.ceil((x0 + h) / step - 1e-12) - 1.0
     n = np.maximum(p1 - p0 + 1.0, 0.0)
     sp = np.where(n > 0, (p0 + p1) * n / 2.0, 0.0)
 
@@ -241,8 +236,8 @@ def _axis_slab_sums(nodes, h, step, offset=0.0):
 
     sp2 = np.where(n > 0, f2(p1) - f2(p0 - 1.0), 0.0)
     s0 = n
-    s1 = offset * n + step * sp
-    s2 = offset**2 * n + 2.0 * offset * step * sp + step**2 * sp2
+    s1 = step * sp
+    s2 = step**2 * sp2
     # hat coefficients: L0 = 1 - (x-x0)/h, L1 = (x-x0)/h as c0 + c1*x
     c = np.empty((len(x0), 2, 2))  # (cell, hat, [c0, c1])
     c[:, 0, 0] = 1.0 + x0 / h
@@ -260,17 +255,16 @@ def _axis_slab_sums(nodes, h, step, offset=0.0):
     return out
 
 
-def lattice_sum_squares(f: GridFunction, steps, offsets=None) -> float:
+def lattice_sum_squares(f: GridFunction, steps) -> float:
     """Sum of |f(gamma)|^2 over the product lattice with the given per-axis
-    steps, with f the grid's multilinear interpolant (zero outside the box).
+    steps, with f the grid's multilinear interpolant (supported on
+    (lo - h, hi), see ``grids.interpolate``).
 
     Exact up to rounding for any step size: per cell, |f|^2 is a quadratic
     polynomial per axis and the lattice restricted to the cell is a product
     of arithmetic progressions, so closed-form power sums apply.
     """
     grid = f.grid
-    if offsets is None:
-        offsets = np.zeros(grid.dim)
     slabs = []
     for d in range(grid.dim):
         # the interpolant ramps to zero one cell beyond the node range on
@@ -278,7 +272,7 @@ def lattice_sum_squares(f: GridFunction, steps, offsets=None) -> float:
         nodes = grid.axis(d)
         h = grid.spacings[d]
         nodes = np.concatenate([[nodes[0] - h], nodes, [grid.hi[d]]])
-        slabs.append(_axis_slab_sums(nodes, h, steps[d], offsets[d]))
+        slabs.append(_axis_slab_sums(nodes, h, steps[d]))
     # C[cell..., corner bits...]: the node values at the corners of each
     # cell, the ghost cells included
     v = np.pad(f.values, [(1, 1)] * grid.dim)

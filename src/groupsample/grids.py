@@ -5,8 +5,10 @@ with nodes ``lo + i*h`` (``h = (hi-lo)/shape``); the quadrature weight of a
 node is the cell volume times the Haar density there, so the weights sum to
 the Haar measure of the box exactly for unimodular models.
 
-Functions are complex-valued node arrays and are treated as compactly
-supported on the box: interpolation outside returns zero.
+Functions are complex-valued node arrays, evaluated between nodes by
+multilinear interpolation with zero beyond the nodes: along each axis the
+interpolant ramps linearly to zero over the cell below ``lo`` and over the
+last cell, up to ``hi``, so it is supported on (lo - h, hi).
 """
 
 from __future__ import annotations
@@ -112,48 +114,58 @@ class Grid:
 def interpolate(values: np.ndarray, grid: Grid, pts_internal: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of node values at points (internal coords).
 
-    Points outside the box evaluate to zero (compact-support convention).
-    ``values`` may carry leading batch axes: shape (..., *grid.shape).
+    Along each axis the interpolant ramps linearly from the first node to
+    zero at ``lo - h`` and from the last node to zero at ``hi``, so it is
+    supported on (lo - h, hi); it is zero outside, and at NaN points.
+    ``values`` may carry leading batch axes: shape (..., *grid.shape); each
+    point's stencil is built once for the whole batch.
     """
     pts = np.asarray(pts_internal, dtype=float)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
     flat = pts.reshape(-1, grid.dim)
+    # one contiguous row per axis
+    u = (np.ascontiguousarray(flat.T) - grid.lo[:, None]) / grid.spacings[:, None]
+    inside = np.all((u >= -1.0) & (u <= np.array(grid.shape)[:, None]), axis=0)
+    sel = None if inside.all() else np.flatnonzero(inside)
+    if sel is not None:
+        u = u[:, sel]
 
-    h = grid.spacings
-    u = (flat - grid.lo) / h
-    i0 = np.floor(u).astype(np.int64)
+    # per axis: the two node indices of each point, clipped onto the grid,
+    # and their weights, 0 where the node is off the grid; the corners
+    # follow in the order of their bits, axis 0 lowest, with weights
+    # multiplied axis by axis
+    i0 = np.floor(u)
     frac = u - i0
-
-    inside = np.ones(len(flat), dtype=bool)
-    for d in range(grid.dim):
-        inside &= (u[:, d] >= -1.0) & (u[:, d] <= grid.shape[d])
+    i0 = i0.astype(np.int64)
+    strides = np.cumprod((grid.shape + (1,))[::-1])[::-1][1:]
+    for d, n in enumerate(grid.shape):
+        # -1 <= k <= n; a negative index viewed as unsigned is never below n
+        k, k1 = i0[d], i0[d] + 1
+        w = [np.where(k.view(np.uint64) < n, 1.0 - frac[d], 0.0),
+             np.where(k1.view(np.uint64) < n, frac[d], 0.0)]
+        c = [np.minimum(np.maximum(k, 0), n - 1) * strides[d], np.minimum(k1, n - 1) * strides[d]]
+        if d == 0:
+            weights, index = w, c
+        else:
+            weights = [a * b for b in w for a in weights]
+            index = [a + b for b in c for a in index]
 
     batch = values.shape[: values.ndim - grid.dim]
-    out = np.zeros(batch + (len(flat),), dtype=values.dtype)
     vflat = values.reshape(batch + (grid.size,))
-
-    idx_in = np.nonzero(inside)[0]
-    if idx_in.size:
-        i0i = i0[idx_in]
-        fri = frac[idx_in]
-        strides = np.cumprod((grid.shape + (1,))[::-1])[::-1][1:]
-        acc = np.zeros(batch + (idx_in.size,), dtype=values.dtype)
-        for corner in range(1 << grid.dim):
-            w = np.ones(idx_in.size)
-            lin = np.zeros(idx_in.size, dtype=np.int64)
-            valid = np.ones(idx_in.size, dtype=bool)
-            for d in range(grid.dim):
-                bit = (corner >> d) & 1
-                idx = i0i[:, d] + bit
-                w = w * (fri[:, d] if bit else 1.0 - fri[:, d])
-                ok = (idx >= 0) & (idx < grid.shape[d])
-                valid &= ok
-                lin = lin + np.clip(idx, 0, grid.shape[d] - 1) * strides[d]
-            w = np.where(valid, w, 0.0)
-            acc = acc + vflat[..., lin] * w
-        out[..., idx_in] = acc
-
+    dtype = np.result_type(values.dtype, float)
+    # summed from zero, corner by corner: a sum that started from the first
+    # corner would keep its -0
+    acc = np.zeros(batch + (u.shape[1],), dtype=dtype)
+    for w, lin in zip(weights, index):
+        term = vflat[..., lin].astype(dtype, copy=False)
+        term *= w
+        acc += term
+    if sel is None:
+        out = acc.astype(values.dtype, copy=False)
+    else:
+        out = np.zeros(batch + (len(flat),), dtype=values.dtype)
+        out[..., sel] = acc
     out = out.reshape(batch + pts.shape[:-1])
     if squeeze:
         out = out[..., 0]

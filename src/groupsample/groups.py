@@ -140,9 +140,16 @@ class GroupModel:
         return self.norm(g)
 
     def ball_box(self, p, r):
-        """Internal-coordinate bounding box (lo, hi) of each ball p B_r, where
-        B_r = {z : gauge(z) < r}; p has shape (m, dim), lo and hi too."""
+        """Internal-coordinate bounds (lo, hi, shear) of each ball p B_r,
+        where B_r = {z : gauge(z) < r}: every u of p B_r has lo <= u <= hi
+        on the first dim - 1 axes and lo <= u_last - shear . u_rest <= hi on
+        the last.  p has shape (m, dim), lo and hi too, shear (m, dim - 1);
+        the shear is zero where the group law does not shear the last axis,
+        and at the identity."""
         raise NotImplementedError
+
+    def _unsheared(self, lo, hi):
+        return lo, hi, np.zeros(lo.shape[:-1] + (self.dim - 1,))
 
     def separation_distance(self, s: float) -> float:
         """Gauge distance gauge(g2^-1 g1) at or above which the balls g1 B_s
@@ -235,7 +242,7 @@ class EuclideanModel(GroupModel):
 
     def ball_box(self, p, r):
         p = _as_points(p, self.dim)
-        return p - r, p + r
+        return self._unsheared(p - r, p + r)
 
     def balls_overlap(self, g1, g2, s):
         # open Euclidean balls meet exactly when the centres are closer than 2s
@@ -304,7 +311,7 @@ class AffineModel(GroupModel):
         half = np.empty_like(u)
         half[..., 0] = r
         half[..., 1] = r * np.asarray(p, dtype=float)[..., 0]
-        return u - half, u + half
+        return self._unsheared(u - half, u + half)
 
     def separation_distance(self, s):
         # a common point g1 z1 = g2 z2 with z1, z2 in B_s gives
@@ -388,13 +395,13 @@ class HeisenbergModel(GroupModel):
         return c
 
     def ball_box(self, p, r):
-        # |x|, |y| < r and 4|t| < r^2 on B_r; the group law shears t by
-        # (p_x z_y - p_y z_x)/2
+        # |z_x|, |z_y| < r and 4|z_t| < r^2 on B_r; u = p z has
+        # u_t = p_t + z_t + (p_x u_y - p_y u_x)/2
         p = _as_points(p, 3)
         half = np.empty_like(p)
         half[..., :2] = r
-        half[..., 2] = r * (r / 4.0 + (np.abs(p[..., 0]) + np.abs(p[..., 1])) / 2.0)
-        return p - half, p + half
+        half[..., 2] = r * (r / 4.0)
+        return p - half, p + half, np.stack([-p[..., 1], p[..., 0]], axis=-1) / 2.0
 
 
 def model_from_id(model_id: str) -> GroupModel:

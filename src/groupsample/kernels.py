@@ -219,7 +219,7 @@ def oscillation_l1_box(f: GridFunction, half_widths) -> float:
     offs = box_offsets(f.grid.model, half_widths)
     # the radius argument only sizes the default ball sample; explicit
     # offsets bypass it
-    osc = oscillation(f, r=1.0, offsets=offs)
+    (osc,) = oscillation([f], r=1.0, offsets=offs)
     return osc.norm_l1()
 
 

@@ -98,44 +98,65 @@ def _near_pairs(model, x, pts, r):
     by (i, j).  r may be inf.
 
     d is evaluated only on candidates: the x_i inside the internal-coordinate
-    bounding box of p_j B_r (``model.ball_box``).  The x are bucketed into
-    cells a quarter of the median box wide; the cells a box meets form one
-    run of sorted cell keys per cell of its first dim - 1 axes.
+    bounds of p_j B_r (``model.ball_box``), whose last axis may be sheared
+    by the others.  The x are bucketed into cells a quarter of the median box
+    wide; for each cell of its first dim - 1 axes that a box meets, one run
+    of sorted cell keys covers the last axis over that cell column.
     """
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     if not (len(x) and len(pts)):
         return empty
-    u = model.to_internal(x)
-    lo, hi = model.ball_box(pts, r)
+    # one contiguous row per axis
+    u = np.ascontiguousarray(model.to_internal(x).T)
+    lo, hi, shear = (np.ascontiguousarray(v.T) for v in model.ball_box(pts, r))
+    umin, umax = u.min(axis=1), u.max(axis=1)
     pad = _BOX_SLACK * (np.abs(lo) + np.abs(hi))
+    # the sheared last coordinate also rounds with the size of its terms
+    reach = np.maximum(np.abs(umin), np.abs(umax))
+    pad[-1] += _BOX_SLACK * (reach[-1] + reach[:-1] @ np.abs(shear))
     lo, hi = lo - pad, hi + pad
 
-    umin, umax = u.min(axis=0), u.max(axis=0)
-    cell = np.maximum(np.median(hi - lo, axis=0) / _CELLS_PER_BOX, (umax - umin) / len(x))
+    cell = np.maximum(np.median(hi - lo, axis=1) / _CELLS_PER_BOX, (umax - umin) / len(x))
     n_cells = ((umax - umin) / cell).astype(np.int64) + 1
     strides = np.cumprod(np.r_[1, n_cells[:0:-1]])[::-1]
 
-    def cell_of(v):
-        return np.minimum(((v - umin) / cell).astype(np.int64), n_cells - 1)
+    def cell_of(v, k):
+        return np.minimum(((v - umin[k]) / cell[k]).astype(np.int64), n_cells[k] - 1)
 
-    key = cell_of(u) @ strides
+    key = sum(cell_of(u[k], k) * strides[k] for k in range(model.dim))
     order = np.argsort(key, kind="stable")
-    key, u, x = key[order], u[order], np.asarray(x, dtype=float)[order]
+    key, u, x = key[order], u[:, order], np.asarray(x, dtype=float)[order]
 
-    c_lo = cell_of(np.clip(lo, umin, umax))
-    c_hi = cell_of(np.clip(hi, umin, umax))
-    span = c_hi[:, :-1] - c_lo[:, :-1] + 1
-    meets = np.all((lo <= umax) & (hi >= umin), axis=1)
-    n_run = np.where(meets, np.prod(span, axis=1), 0)
+    # one run per ball and cell column (a cell of the first dim - 1 axes)
+    # its box meets
+    rest_axes = range(model.dim - 1)
+    c_lo = [cell_of(np.clip(lo[k], umin[k], umax[k]), k) for k in rest_axes]
+    span = [cell_of(np.clip(hi[k], umin[k], umax[k]), k) - c_lo[k] + 1 for k in rest_axes]
+    meets = np.ones(len(pts), dtype=bool)
+    for k in rest_axes:
+        meets &= (lo[k] <= umax[k]) & (hi[k] >= umin[k])
+    n_run = np.where(meets, math.prod(span), 0)
     jr = np.repeat(np.arange(len(pts)), n_run)
     rest = np.arange(len(jr)) - np.repeat(np.cumsum(n_run) - n_run, n_run)
-    first = c_lo[jr, -1]  # key of the run's first cell
-    for k in reversed(range(model.dim - 1)):
-        sk = span[jr, k]
-        first = first + (c_lo[jr, k] + rest % sk) * strides[k]
-        rest //= sk
+    # the last axis over the column clipped to the box: shear . u_rest ranges
+    # between its values at the column's ends; the column width is capped by
+    # the extent of the x, so that an infinite cell (r = inf) has finite ends
+    width = np.minimum(cell, umax - umin + 1.0)
+    first = np.zeros(len(jr), dtype=np.int64)  # key of the column's cell 0
+    t_lo, t_hi = lo[-1][jr], hi[-1][jr]
+    for k in reversed(rest_axes):
+        col = c_lo[k][jr] + rest % span[k][jr]
+        rest //= span[k][jr]
+        first += col * strides[k]
+        at_lo = shear[k][jr] * np.maximum(umin[k] + col * width[k], lo[k][jr])
+        at_hi = shear[k][jr] * np.minimum(umin[k] + (col + 1) * width[k], hi[k][jr])
+        t_lo += np.minimum(at_lo, at_hi)
+        t_hi += np.maximum(at_lo, at_hi)
+    last = first + cell_of(np.clip(t_hi, umin[-1], umax[-1]), -1)
+    first += cell_of(np.clip(t_lo, umin[-1], umax[-1]), -1)
     start = np.searchsorted(key, first, side="left")
-    count = np.searchsorted(key, first + c_hi[jr, -1] - c_lo[jr, -1], side="right") - start
+    count = np.searchsorted(key, last, side="right") - start
+    count[(t_lo > umax[-1]) | (t_hi < umin[-1])] = 0
 
     inv = model.inv(pts)
     out = [empty]
@@ -143,11 +164,15 @@ def _near_pairs(model, x, pts, r):
     for jb, sb, cb in zip(np.split(jr, cuts), np.split(start, cuts), np.split(count, cuts)):
         # positions in the sorted x, run after run
         pos = np.arange(cb.sum()) + np.repeat(sb - (np.cumsum(cb) - cb), cb)
-        uc = u[pos]
-        inside = np.all(
-            (uc >= np.repeat(lo[jb], cb, axis=0)) & (uc <= np.repeat(hi[jb], cb, axis=0)), axis=1
-        )
-        pos, jc = pos[inside], np.repeat(jb, cb)[inside]
+        jc = np.repeat(jb, cb)
+        t = u[-1][pos]
+        inside = np.ones(len(pos), dtype=bool)
+        for k in range(model.dim - 1):
+            uk = u[k][pos]
+            t -= shear[k][jc] * uk
+            inside &= (uk >= lo[k][jc]) & (uk <= hi[k][jc])
+        inside &= (t >= lo[-1][jc]) & (t <= hi[-1][jc])
+        pos, jc = pos[inside], jc[inside]
         if not len(pos):
             continue
         d = model.gauge(model.mul(inv[jc], x[pos]))
@@ -225,14 +250,21 @@ class Partition:
     order: np.ndarray  # enumeration order used by the recursion
     w_radius: float
     u_radius: float
+    #: the pairs (i, j, d) of grid nodes and points with d < u_radius + 1e-12,
+    #: as ``build_partition`` found them; without them ``check_invariants``
+    #: searches
+    near_pairs: tuple | None = field(default=None, repr=False, compare=False)
 
     def check_invariants(self) -> dict:
         """Disjoint cover and W subset V_gamma subset U at grid resolution."""
         a = self.assignment.reshape(-1)
         covered = bool(np.all(a >= 0))
-        x = self.grid.points().reshape(-1, self.grid.dim)
         u_tol, w_tol = self.u_radius + 1e-12, self.w_radius - 1e-12
-        i, j, d = _near_pairs(self.pointset.model, x, self.pointset.points, max(u_tol, w_tol))
+        if self.near_pairs is None:
+            x = self.grid.points().reshape(-1, self.grid.dim)
+            i, j, d = _near_pairs(self.pointset.model, x, self.pointset.points, max(u_tol, w_tol))
+        else:
+            i, j, d = self.near_pairs
         own = (j == a[i]) & (d < u_tol)
         inside_u = bool(np.count_nonzero(own) == len(a))
         # every cell strictly inside gamma B_W belongs to gamma
@@ -258,7 +290,9 @@ def build_partition(ps: PointSet, w_radius, u_radius, shape=64) -> Partition:
     model = ps.model
     grid = Grid.regular(model, ps.lo, ps.hi, shape)
     x = grid.points().reshape(-1, model.dim)
-    i, j, d = _near_pairs(model, x, ps.points, u_radius)
+    # one search serves the rules below and check_invariants' tolerance
+    near_pairs = _near_pairs(model, x, ps.points, u_radius + 1e-12)
+    i, j, d = (v[near_pairs[2] < u_radius] for v in near_pairs)
 
     assignment = np.full(len(x), -1, dtype=np.int64)
     # W-balls first; separation certificate makes these disjoint, numerically
@@ -279,7 +313,9 @@ def build_partition(ps: PointSet, w_radius, u_radius, shape=64) -> Partition:
         raise ValueError(
             f"region not covered by U-balls (density precondition violated near {bad})"
         )
-    return Partition(ps, grid, assignment.reshape(grid.shape), order, w_radius, u_radius)
+    return Partition(
+        ps, grid, assignment.reshape(grid.shape), order, w_radius, u_radius, near_pairs
+    )
 
 
 # ---------------------------------------------------------------------------

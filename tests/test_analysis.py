@@ -33,7 +33,7 @@ def _gauss(grid, center, width):
 def test_oscillation_linear_function():
     grid = Grid.regular(EuclideanModel(1), [-4.0], [4.0], (512,))
     f = GridFunction.from_callable(grid, lambda x: 3.0 * x)
-    osc = oscillation(f, 0.25)
+    (osc,) = oscillation([f], 0.25)
     mask = np.abs(grid.points().reshape(-1)) < 3.0
     vals = osc.values.reshape(-1).real[mask]
     # sup over |y| <= r of |f(x) - f(x - y)| = 3 r for linear f
@@ -46,7 +46,7 @@ def test_oscillation_constant_vanishes():
     f = GridFunction(grid, np.full(grid.shape, 2.5))
     # interior only: shifts past the box edge fall onto the zero padding
     mask = np.abs(grid.points().reshape(grid.shape)) < 1.5
-    assert oscillation(f, 0.3).norm_sup(mask) == pytest.approx(0.0, abs=1e-12)
+    assert oscillation([f], 0.3)[0].norm_sup(mask) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_osc_conv_inequality_euclidean():
@@ -191,16 +191,23 @@ def _reference_oscillation(f, offsets):
 
 
 @pytest.mark.parametrize(
-    "model,shape", [(EuclideanModel(1), (128,)), (EuclideanModel(2), (24, 20))],
-    ids=["r1", "rn2"],
+    "model,shape",
+    [(EuclideanModel(1), (128,)), (EuclideanModel(2), (24, 20)), (HeisenbergModel(), (9, 8, 10))],
+    ids=["r1", "rn2", "heis1"],
 )
 def test_oscillation_matches_shift_and_interpolation_reference(model, shape):
     grid = Grid.regular(model, [-3.0] * model.dim, [3.0] * model.dim, shape)
     rng = np.random.default_rng(8)
-    f = GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    fs = [GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape)) for _ in range(3)]
     for r in (0.3, 0.8):
-        offsets = analysis.ball_offsets(model, r, grid.spacings)
-        # both kinds of offset occur
-        n_lattice = sum(model.node_shift(y, grid.spacings) is not None for y in offsets)
-        assert 0 < n_lattice < len(offsets)
-        assert np.array_equal(oscillation(f, r).values, _reference_oscillation(f, offsets))
+        batched = oscillation(fs, r)
+        assert len(batched) == len(fs)
+        for f, osc in zip(fs, batched):
+            # a batch gives each function the bits it gets on its own
+            assert np.array_equal(osc.values, oscillation([f], r)[0].values)
+        if model.kind == "euclidean":
+            offsets = analysis.ball_offsets(model, r, grid.spacings)
+            # both kinds of offset occur
+            n_lattice = sum(model.node_shift(y, grid.spacings) is not None for y in offsets)
+            assert 0 < n_lattice < len(offsets)
+            assert np.array_equal(batched[0].values, _reference_oscillation(fs[0], offsets))

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from groupsample import EuclideanModel, AffineModel, HeisenbergModel, Grid, GridFunction
+from groupsample import EuclideanModel, AffineModel, HeisenbergModel, Grid, GridFunction, interpolate
 
 
 def test_regular_grid_basic():
@@ -73,3 +75,103 @@ def test_nonfinite_rejected():
     vals[3] = np.nan
     with pytest.raises(ValueError):
         GridFunction(g, vals)
+
+
+def _interpolate_reference(values, grid, pts_internal):
+    """The corner loop ``interpolate`` ran before its per-axis stencil:
+    each corner clips its indices, masks the corners off the grid and adds
+    its weighted values, over the points inside the support only."""
+    pts = np.asarray(pts_internal, dtype=float)
+    squeeze = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    flat = pts.reshape(-1, grid.dim)
+
+    h = grid.spacings
+    u = (flat - grid.lo) / h
+    with np.errstate(invalid="ignore"):
+        i0 = np.floor(u).astype(np.int64)
+    frac = u - i0
+
+    inside = np.ones(len(flat), dtype=bool)
+    for d in range(grid.dim):
+        inside &= (u[:, d] >= -1.0) & (u[:, d] <= grid.shape[d])
+
+    batch = values.shape[: values.ndim - grid.dim]
+    out = np.zeros(batch + (len(flat),), dtype=values.dtype)
+    vflat = values.reshape(batch + (grid.size,))
+
+    idx_in = np.nonzero(inside)[0]
+    if idx_in.size:
+        i0i = i0[idx_in]
+        fri = frac[idx_in]
+        strides = np.cumprod((grid.shape + (1,))[::-1])[::-1][1:]
+        acc = np.zeros(batch + (idx_in.size,), dtype=values.dtype)
+        for corner in range(1 << grid.dim):
+            w = np.ones(idx_in.size)
+            lin = np.zeros(idx_in.size, dtype=np.int64)
+            valid = np.ones(idx_in.size, dtype=bool)
+            for d in range(grid.dim):
+                bit = (corner >> d) & 1
+                idx = i0i[:, d] + bit
+                w = w * (fri[:, d] if bit else 1.0 - fri[:, d])
+                ok = (idx >= 0) & (idx < grid.shape[d])
+                valid &= ok
+                lin = lin + np.clip(idx, 0, grid.shape[d] - 1) * strides[d]
+            w = np.where(valid, w, 0.0)
+            acc = acc + vflat[..., lin] * w
+        out[..., idx_in] = acc
+
+    out = out.reshape(batch + pts.shape[:-1])
+    if squeeze:
+        out = out[..., 0]
+    return out
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _probe_points(grid, rng, count=400):
+    """Internal-coordinate points whose node coordinates u = (x - lo)/h mix
+    random interior values, nodes, the lo and hi faces, the outer ring
+    (-1 < u < 0 and n - 1 < u <= n), the ring's ends, far outside and NaN."""
+    cols = []
+    for n in grid.shape:
+        special = np.array(
+            [0.0, 1.0, n - 1.0, n, -1.0, -0.5, -1e-12, n - 0.5, n - 1e-12, n - 1 + 1e-12,
+             -1.0 - 1e-12, n + 1e-12, -7.0, n + 9.0, np.nan]
+        )
+        k = np.where(
+            rng.uniform(size=count) < 0.5,
+            rng.uniform(-1.5, n + 0.5, size=count),
+            special[rng.integers(0, len(special), size=count)],
+        )
+        k[: n] = np.arange(n)  # every node index on this axis
+        cols.append(k)
+    return grid.lo + grid.spacings * np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize(
+    "model,lo,hi,shape",
+    [
+        (EuclideanModel(1), [-1.0], [1.5], (9,)),
+        (EuclideanModel(2), [0.0, -1.0], [2.0, 1.0], (6, 5)),
+        (AffineModel(), [-1.0, -2.0], [1.0, 2.0], (7, 6)),
+        (HeisenbergModel(), [-2.0, -1.5, -3.0], [2.0, 1.5, 3.0], (5, 6, 7)),
+    ],
+    ids=["r1", "rn2", "affine", "heis1"],
+)
+def test_interpolate_matches_corner_loop_bytes(model, lo, hi, shape):
+    grid = Grid.regular(model, lo, hi, shape)
+    rng = np.random.default_rng(4)
+    pts = _probe_points(grid, rng)
+    for batch in ((), (3,), (2, 3)):
+        real = rng.normal(size=batch + shape)
+        cplx = real + 1j * rng.normal(size=batch + shape)
+        cplx.flat[::3] *= -1  # negative real and imaginary parts
+        for values in (real, cplx):
+            for p in (pts, pts.reshape(20, -1, grid.dim), pts[7]):
+                got = interpolate(values, grid, p)
+                ref = _interpolate_reference(values, grid, p)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert _digest(got) == _digest(ref)

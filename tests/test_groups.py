@@ -104,9 +104,14 @@ def test_ball_box_holds_ball(model):
     z = model.random_points(4000, scale=1.0, rng=rng)
     z = z[model.gauge(z) < r]
     p = model.random_points(len(z), scale=3.0, rng=rng)
-    lo, hi = model.ball_box(p, r)
+    lo, hi, shear = model.ball_box(p, r)
     u = model.to_internal(model.mul(p, z))
-    assert np.all((u >= lo) & (u <= hi))
+    assert np.all((u[:, :-1] >= lo[:, :-1]) & (u[:, :-1] <= hi[:, :-1]))
+    t = u[:, -1] - np.sum(shear * u[:, :-1], axis=1)
+    assert np.all((t >= lo[:, -1]) & (t <= hi[:, -1]))
+    # at the identity the bounds are a box
+    _, _, shear0 = model.ball_box(model.identity()[None, :], r)
+    assert not np.any(shear0)
 
 
 def test_affine_haar_weight():

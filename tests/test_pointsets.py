@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -197,6 +199,15 @@ def test_verify_separated_affine_disjoint_within_fast_path():
     assert cert.detail == {"exact_pairs": 1, "overlap_test": "exact"}
 
 
+def _assert_near_pairs_exact(model, x, pts, r):
+    d_ref = _dense_gauge(model, x, pts)
+    i_ref, j_ref = np.nonzero(d_ref < r)
+    i, j, d = _near_pairs(model, x, pts, r)
+    assert np.array_equal(i, i_ref)
+    assert np.array_equal(j, j_ref)
+    assert np.array_equal(d, d_ref[i_ref, j_ref])
+
+
 @pytest.mark.parametrize("model", NEAR_MODELS, ids=lambda m: m.model_id())
 def test_near_pairs_match_dense_reference(model):
     rng = np.random.default_rng(11)
@@ -211,18 +222,15 @@ def test_near_pairs_match_dense_reference(model):
         (nodes[:40], 30, np.inf),
     ]
     for x, n_pts, r in cases:
-        pts = model.random_points(n_pts, scale=2.0, rng=rng)
-        d_ref = _dense_gauge(model, x, pts)
-        i_ref, j_ref = np.nonzero(d_ref < r)
-        i, j, d = _near_pairs(model, x, pts, r)
-        assert np.array_equal(i, i_ref)
-        assert np.array_equal(j, j_ref)
-        assert np.array_equal(d, d_ref[i_ref, j_ref])
+        _assert_near_pairs_exact(model, x, model.random_points(n_pts, scale=2.0, rng=rng), r)
     # a point set against itself, as in verify_separated
     pts = model.random_points(80, scale=2.0, rng=rng)
-    i, j, d = _near_pairs(model, pts, pts, 0.9)
-    i_ref, j_ref = np.nonzero(_dense_gauge(model, pts, pts) < 0.9)
-    assert np.array_equal(i, i_ref) and np.array_equal(j, j_ref)
+    _assert_near_pairs_exact(model, pts, pts, 0.9)
+    # off-centre balls, where the H1 group law shears the central axis most:
+    # centres with |p_x|, |p_y| up to 7 against the nodes of [-7, 7)^dim
+    wide = Grid.regular(model, [-7.0] * model.dim, [7.0] * model.dim, 11)
+    centres = model.from_internal(rng.uniform(-7.0, 7.0, size=(60, model.dim)))
+    _assert_near_pairs_exact(model, wide.points().reshape(-1, model.dim), centres, 2.6)
 
 
 def _partition_reference(ps, w, u, shape):
@@ -269,11 +277,15 @@ def test_partition_matches_dense_reference(model, lo, hi, shape, w, u):
     assert np.array_equal(a, a_ref)
     assert part.check_invariants() == _invariants_reference(d, a, w, u)
     assert all(part.check_invariants().values())
+    # a partition built by hand, without the pairs, searches for its own
+    by_hand = dataclasses.replace(part, near_pairs=None)
+    assert by_hand.check_invariants() == part.check_invariants()
     # hand a W-cell to another point: both invariants must fail as in the reference
     cell = int(np.argmax(np.min(d, axis=1) < w))
     part.assignment.reshape(-1)[cell] = (a[cell] + 1) % len(ps)
     broken = part.check_invariants()
     assert broken == _invariants_reference(d, part.assignment.reshape(-1), w, u)
+    assert by_hand.check_invariants() == broken
     assert not broken["w_contained"]
 
 
@@ -287,3 +299,36 @@ def test_verify_dense_worst_distance_exact(model):
         cert = verify_dense(ps, r, shape=9)
         assert cert.passed is passed
         assert cert.detail == {"worst_distance": worst, "checked_on": "grid nodes"}
+
+
+# the ten point sets of ``partition model=heis1 resolution=9 seed=0``, as
+# recorded before the sheared boxes and the shared partition pairs:
+# (verify_separated's exact_pairs, verify_dense's worst distance on 17^3
+# nodes, sha256 of the int64 bytes of build_partition's assignment on 9^3)
+_H1_PARTITION_GEOMETRY = [
+    (0, 1.5435862977478982, "8464c7a533e1de9408334a0ca17530b8b34cd4aebb30bed277b9dfbd29fc31ab"),
+    (0, 1.5607319210127206, "4e5e7ef4eed577b174eba6c23d23bdd613af5358d00f34c53121f6c34fa45363"),
+    (0, 1.5881247162477603, "e8df2d6af027c1094e979566f1fa76b6ac05151f80c01ba6a7c160de0548caf4"),
+    (0, 1.5141675365165206, "f233487d544ea86f343935053aa84a912cafd09e24ebf72189045b24f7b01e77"),
+    (0, 1.566840735865519, "05729005a5974b451806c49daa6cc515f2639219057b6add49160683678a2a0e"),
+    (0, 1.5953217190076783, "7c85b1e49094635ed0a3f7706c02cb05786ecf30ba5a7125e2023a559553f640"),
+    (0, 1.5093972336218469, "5ccaa87793f8870d89df3dadef52b7cbbb9bec9339a0aec91e878b44b6095887"),
+    (0, 1.4801251622451863, "0eee6a5ea23e5e8a99c1e61b03624cb27e857f00de9e09bd72b0770c0dd4c7b4"),
+    (0, 1.551733417286803, "f3b1769d9afce717f0d510fbe60b574634d7164908f1baf30052a6f97b469359"),
+    (0, 1.567465224540796, "63d659d5a73a3931e9bc6ac355702388a64ad571d60e4609baba09d8f55988d5"),
+]
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_h1_partition_geometry_pinned(k):
+    from groupsample.cli import _h1_jittered_lattice
+
+    exact_pairs, worst, digest = _H1_PARTITION_GEOMETRY[k]
+    ps = _h1_jittered_lattice(HeisenbergModel(), 10 * k)
+    sep = verify_separated(ps, 0.4)
+    assert sep.passed and sep.detail["exact_pairs"] == exact_pairs
+    dense = verify_dense(ps, 2.6, shape=17)
+    assert dense.passed and dense.detail["worst_distance"] == worst
+    part = build_partition(ps, 0.4, 2.6, shape=9)
+    assert hashlib.sha256(part.assignment.astype(np.int64).tobytes()).hexdigest() == digest
+    assert part.check_invariants() == {"covered": True, "inside_u": True, "w_contained": True}
