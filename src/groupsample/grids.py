@@ -142,8 +142,7 @@ def interpolate(values: np.ndarray, grid: Grid, pts_internal: np.ndarray) -> np.
     for d, n in enumerate(grid.shape):
         # -1 <= k <= n; a negative index viewed as unsigned is never below n
         k, k1 = i0[d], i0[d] + 1
-        w = [np.where(k.view(np.uint64) < n, 1.0 - frac[d], 0.0),
-             np.where(k1.view(np.uint64) < n, frac[d], 0.0)]
+        w = [np.where(k.view(np.uint64) < n, 1.0 - frac[d], 0.0), np.where(k1 < n, frac[d], 0.0)]
         c = [np.minimum(np.maximum(k, 0), n - 1) * strides[d], np.minimum(k1, n - 1) * strides[d]]
         if d == 0:
             weights, index = w, c

@@ -91,6 +91,9 @@ _CHUNK = 1 << 18
 # bucket cells per median box width: finer cells mean fewer candidates
 # outside the boxes but more cell runs per box
 _CELLS_PER_BOX = 4
+# grid-resolution tolerance of a partition's radii: U is tested at
+# u + _RADIUS_TOL and W at w - _RADIUS_TOL
+_RADIUS_TOL = 1e-12
 
 
 def _near_pairs(model, x, pts, r):
@@ -250,21 +253,16 @@ class Partition:
     order: np.ndarray  # enumeration order used by the recursion
     w_radius: float
     u_radius: float
-    #: the pairs (i, j, d) of grid nodes and points with d < u_radius + 1e-12,
-    #: as ``build_partition`` found them; without them ``check_invariants``
-    #: searches
-    near_pairs: tuple | None = field(default=None, repr=False, compare=False)
+    #: the pairs (i, j, d) of grid nodes and points with
+    #: d < u_radius + _RADIUS_TOL, as ``build_partition`` found them
+    near_pairs: tuple = field(repr=False, compare=False)
 
     def check_invariants(self) -> dict:
         """Disjoint cover and W subset V_gamma subset U at grid resolution."""
         a = self.assignment.reshape(-1)
         covered = bool(np.all(a >= 0))
-        u_tol, w_tol = self.u_radius + 1e-12, self.w_radius - 1e-12
-        if self.near_pairs is None:
-            x = self.grid.points().reshape(-1, self.grid.dim)
-            i, j, d = _near_pairs(self.pointset.model, x, self.pointset.points, max(u_tol, w_tol))
-        else:
-            i, j, d = self.near_pairs
+        u_tol, w_tol = self.u_radius + _RADIUS_TOL, self.w_radius - _RADIUS_TOL
+        i, j, d = self.near_pairs
         own = (j == a[i]) & (d < u_tol)
         inside_u = bool(np.count_nonzero(own) == len(a))
         # every cell strictly inside gamma B_W belongs to gamma
@@ -291,7 +289,7 @@ def build_partition(ps: PointSet, w_radius, u_radius, shape=64) -> Partition:
     grid = Grid.regular(model, ps.lo, ps.hi, shape)
     x = grid.points().reshape(-1, model.dim)
     # one search serves the rules below and check_invariants' tolerance
-    near_pairs = _near_pairs(model, x, ps.points, u_radius + 1e-12)
+    near_pairs = _near_pairs(model, x, ps.points, u_radius + _RADIUS_TOL)
     i, j, d = (v[near_pairs[2] < u_radius] for v in near_pairs)
 
     assignment = np.full(len(x), -1, dtype=np.int64)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 
@@ -277,15 +276,11 @@ def test_partition_matches_dense_reference(model, lo, hi, shape, w, u):
     assert np.array_equal(a, a_ref)
     assert part.check_invariants() == _invariants_reference(d, a, w, u)
     assert all(part.check_invariants().values())
-    # a partition built by hand, without the pairs, searches for its own
-    by_hand = dataclasses.replace(part, near_pairs=None)
-    assert by_hand.check_invariants() == part.check_invariants()
     # hand a W-cell to another point: both invariants must fail as in the reference
     cell = int(np.argmax(np.min(d, axis=1) < w))
     part.assignment.reshape(-1)[cell] = (a[cell] + 1) % len(ps)
     broken = part.check_invariants()
     assert broken == _invariants_reference(d, part.assignment.reshape(-1), w, u)
-    assert by_hand.check_invariants() == broken
     assert not broken["w_contained"]
 
 
