@@ -23,7 +23,6 @@ from .analysis import (
     oscillation,
     osc_conv_check,
     vector_field_apply,
-    apply_multiindex,
     sublaplacian_matrix,
     sublaplacian_spectrum,
     random_bandlimited,

@@ -27,7 +27,6 @@ __all__ = [
     "ball_offsets",
     "osc_conv_check",
     "vector_field_apply",
-    "apply_multiindex",
     "sublaplacian_matrix",
     "sublaplacian_spectrum",
     "random_bandlimited",
@@ -193,49 +192,44 @@ def osc_conv_check(
 # ---------------------------------------------------------------------------
 
 
-def _central_diff(values, axis, h):
-    """Second-order central difference with zero (Dirichlet) padding."""
-    out = np.zeros_like(values, dtype=np.complex128)
-    sl_all = [slice(None)] * values.ndim
-
-    def shifted(k):
-        pad = np.zeros_like(values)
-        src = sl_all.copy()
-        dst = sl_all.copy()
-        if k > 0:
-            src[axis] = slice(k, None)
-            dst[axis] = slice(None, -k)
-        else:
-            src[axis] = slice(None, k)
-            dst[axis] = slice(-k, None)
-        pad[tuple(dst)] = values[tuple(src)]
-        return pad
-
-    out = (shifted(1) - shifted(-1)) / (2.0 * h)
-    return out
+def _field_columns(grid, i):
+    """The nonzero chart coefficient columns (d, c_d) of the i-th basis
+    field at the grid's nodes, cached on the grid."""
+    key = ("field", i)
+    if key not in grid._cache:
+        c = grid.model.field_coefficients(i, grid.points())
+        grid._cache[key] = [(d, c[..., d].copy()) for d in range(grid.dim) if np.any(c[..., d] != 0)]
+    return grid._cache[key]
 
 
 def vector_field_apply(i: int, f: GridFunction) -> GridFunction:
-    """Apply the i-th left-invariant basis field by central finite differences."""
+    """Apply the i-th left-invariant basis field by second-order central
+    differences, zero (Dirichlet) beyond the box."""
     grid = f.grid
-    pts = grid.points()
-    c = grid.model.field_coefficients(i, pts)
-    h = grid.spacings
+    v = f.values
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for d in range(grid.dim):
-        cd = c[..., d]
-        if np.any(cd != 0):
-            out += cd * _central_diff(f.values, d, h[d])
+    for d, cd in _field_columns(grid, i):
+        ax = (slice(None),) * d
+        diff = np.empty_like(v)
+        np.subtract(v[ax + (slice(2, None),)], v[ax + (slice(None, -2),)], out=diff[ax + (slice(1, -1),)])
+        # each face differences against a zero node beyond the box
+        np.subtract(v[ax + (slice(1, 2),)], 0.0, out=diff[ax + (slice(0, 1),)])
+        np.subtract(0.0, v[ax + (slice(-2, -1),)], out=diff[ax + (slice(-1, None),)])
+        diff /= 2.0 * grid.spacings[d]
+        diff *= cd
+        out += diff
     return GridFunction(grid, out)
 
 
-def apply_multiindex(alpha, f: GridFunction) -> GridFunction:
-    """X^alpha = X_1^{a1} ... X_n^{an}, fields applied left to right."""
-    out = f
-    for i, k in enumerate(alpha):
-        for _ in range(int(k)):
-            out = vector_field_apply(i, out)
-    return out
+def _derivative(tree, alpha):
+    """X^alpha f = X_1^{a1} ... X_n^{an} f (fields applied left to right) from
+    ``tree``, a dict multiindex -> GridFunction holding f at zero; a missing
+    entry is alpha's last field applied to its prefix, and is stored."""
+    if alpha not in tree:
+        i = max(j for j, k in enumerate(alpha) if k)
+        prefix = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+        tree[alpha] = vector_field_apply(i, _derivative(tree, prefix))
+    return tree[alpha]
 
 
 def _weights(model):
@@ -340,7 +334,10 @@ def sublaplacian_spectrum(grid: Grid, omega: float, cache_dir: str | None = None
     Rejects bandwidths beyond a quarter of the largest discrete eigenvalue:
     such modes are not resolved by the grid.  Eigenpairs are cached on disk
     keyed by (grid hash, omega, boundary condition); each lookup counts as a
-    hit or a miss in ``CACHE_COUNTS``.  Lanczos stops at 400 eigenpairs.
+    hit or a miss in ``CACHE_COUNTS``.  Lanczos starts from a fixed vector
+    and restarts with twice the eigenpair count, up to 400, from one sparse
+    LU factorization of the matrix; each eigenvector's largest-modulus entry
+    is positive, so a cold solve repeats bit for bit.
     """
     if omega <= 0:
         raise ValueError("bandwidth must be positive")
@@ -362,10 +359,14 @@ def sublaplacian_spectrum(grid: Grid, omega: float, cache_dir: str | None = None
         )
 
     n = L.shape[0]
+    # for a real csr L, L.T is the csc matrix eigsh would factor on each call
+    lu = spla.splu(L.T)
+    opinv = spla.LinearOperator(L.shape, matvec=lu.solve, dtype=L.dtype)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     k = 16
     while True:
         k = min(k, n - 2)
-        vals, vecs = spla.eigsh(L, k=k, sigma=0, which="LM")
+        vals, vecs = spla.eigsh(L, k=k, sigma=0, which="LM", v0=v0, OPinv=opinv)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         if vals[-1] > omega or k >= min(400, n - 2):
@@ -374,6 +375,7 @@ def sublaplacian_spectrum(grid: Grid, omega: float, cache_dir: str | None = None
     keep = vals <= omega
     vals, vecs = vals[keep], vecs[:, keep]
     vals = np.maximum(vals, 0.0)
+    vecs = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
 
     # orthonormalize in the weighted inner product (weights are a constant
     # cell volume for unimodular models)
@@ -475,7 +477,8 @@ def estimate_constants(
     the smallest scanned dilation with no observed violation, and the
     Bernstein norms are maxima over the retained eigenbasis.  When every
     scanned dilation shows a violation, the last one is used and
-    ``metadata["b_verified"]`` is False.
+    ``metadata["b_verified"]`` is False.  Each derivative X^alpha f is
+    computed once and serves all three estimates.
     """
     model = grid.model
     n = model.dim
@@ -483,16 +486,16 @@ def estimate_constants(
     if q is None:
         raise UnsupportedModelError("constants require a stratified model")
 
-    eigfuncs = [
-        GridFunction(grid, proj_e1.eigenvectors[i]) for i in range(min(proj_e1.dim, 16))
-    ]
-    family = eigfuncs + _bump_family(grid, 12, 0)
+    # the eigenbasis, then the bumps; `family` indexes the test family
+    funcs = [GridFunction(grid, v) for v in proj_e1.eigenvectors] + _bump_family(grid, 12, 0)
+    family = [k for k in range(len(funcs)) if k < 16 or k >= proj_e1.dim]
+    zero = (0,) * n
+    trees = [{zero: f} for f in funcs]
 
     # first-order derivative fields per family member (for the mean-value scan)
     nfirst = model.weights.count(1)
-    grads = [
-        [vector_field_apply(j, f) for j in range(n)] for f in family
-    ]
+    units = [tuple(int(d == j) for d in range(n)) for j in range(n)]
+    grads = {k: [_derivative(trees[k], e) for e in units] for k in family}
 
     # --- mean-value dilation factor b ------------------------------------
     rng = np.random.default_rng(1)
@@ -508,7 +511,8 @@ def estimate_constants(
     b_verified = False
     for b_try in b_scan:
         ok = True
-        for fi, f in enumerate(family):
+        for k in family:
+            f = funcs[k]
             fx = f.at(xs)
             for rad in radii:
                 yr = model.dilate(rad, ys)
@@ -522,8 +526,8 @@ def estimate_constants(
                     )
                     xz = model.mul(xs[:, None, :], zdirs[None, :, :])
                     sup = np.zeros(len(xs))
-                    for j in range(n):
-                        gv = np.abs(grads[fi][j].at(xz))
+                    for g in grads[k]:
+                        gv = np.abs(g.at(xz))
                         np.maximum(sup, gv.max(axis=1), out=sup)
                     if np.any(lhs > rad * sup + 1e-12):
                         ok = False
@@ -537,32 +541,29 @@ def estimate_constants(
             b_verified = True
             break
 
-    # --- local Sobolev constant for (K, U) = (B_b, B_2b) ------------------
+    # --- local Sobolev constant for (K, U) = (B_b, B_2b) over the family and
+    # Bernstein norms over the eigenbasis, one function and its tree at a time
     pts = grid.points()
     gnorm = model.norm(pts)
     mask_k = gnorm <= b_est
     mask_u = gnorm <= 2.0 * b_est
-    alphas_sob = [(0,) * n] + _multiindices(n, n)
-    c_ku = 0.0
-    for f in family:
-        sup_k = f.norm_sup(mask=mask_k)
-        denom = 0.0
-        for a in alphas_sob:
-            g = apply_multiindex(a, f)
-            denom += g.norm_l2(mask=mask_u) ** 2
-        if denom > 0:
-            c_ku = max(c_ku, sup_k / math.sqrt(denom))
-
-    # --- Bernstein norms over the eigenbasis ------------------------------
+    alphas_sob = [zero] + _multiindices(n, n)
     alphas = _multiindices(n, n + 1)
-    bern = {}
-    for a in alphas:
-        best = 0.0
-        for i in range(proj_e1.dim):
-            e = GridFunction(grid, proj_e1.eigenvectors[i])
-            val = apply_multiindex(a, e).norm_l2() / e.norm_l2()
-            best = max(best, val)
-        bern[a] = best
+    c_ku = 0.0
+    bern = dict.fromkeys(alphas, 0.0)
+    for k, f in enumerate(funcs):
+        tree, trees[k] = trees[k], None
+        if k in family:
+            sup_k = f.norm_sup(mask=mask_k)
+            denom = 0.0
+            for a in alphas_sob:
+                denom += _derivative(tree, a).norm_l2(mask=mask_u) ** 2
+            if denom > 0:
+                c_ku = max(c_ku, sup_k / math.sqrt(denom))
+        if k < proj_e1.dim:
+            norm = f.norm_l2()
+            for a in alphas:
+                bern[a] = max(bern[a], _derivative(tree, a).norm_l2() / norm)
 
     vol1 = model.ball_volume()
     c_g = ConstantEstimates.assemble(n, q, b_est, c_ku, vol1, bern)

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import groupsample.analysis as analysis
 
@@ -12,7 +15,6 @@ from groupsample import (
     oscillation,
     osc_conv_check,
     vector_field_apply,
-    apply_multiindex,
     sublaplacian_matrix,
     sublaplacian_spectrum,
     random_bandlimited,
@@ -20,6 +22,7 @@ from groupsample import (
     estimate_constants,
 )
 from groupsample.analysis import projector_dilation_angle
+from groupsample.groups import UnsupportedModelError, model_from_id
 
 
 def _gauss(grid, center, width):
@@ -71,12 +74,79 @@ def test_vector_fields_heisenberg_polynomials():
     assert np.allclose(tf[m], 1.0, atol=1e-9)
 
 
-def test_apply_multiindex_matches_composition():
+def test_derivative_matches_composition():
     grid = Grid.regular(HeisenbergModel(), [-2.0] * 3, [2.0] * 3, (17,) * 3)
     f = _gauss(grid, [0.0, 0.0, 0.0], 0.8)
-    a = apply_multiindex((1, 1, 0), f)
+    tree = {(0, 0, 0): f}
+    a = analysis._derivative(tree, (1, 1, 0))
     b = vector_field_apply(1, vector_field_apply(0, f))
-    assert np.allclose(a.values, b.values, atol=1e-12)
+    assert np.array_equal(a.values, b.values)
+    # the prefix was stored on the way, and a second request reuses it
+    assert sorted(tree) == [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
+    assert analysis._derivative(tree, (1, 1, 0)) is a
+
+
+def _padded_central_diff(values, axis, h):
+    """Reference central difference: two zero-padded shifted copies,
+    subtracted."""
+    sl_all = [slice(None)] * values.ndim
+
+    def shifted(k):
+        pad = np.zeros_like(values)
+        src = sl_all.copy()
+        dst = sl_all.copy()
+        if k > 0:
+            src[axis] = slice(k, None)
+            dst[axis] = slice(None, -k)
+        else:
+            src[axis] = slice(None, k)
+            dst[axis] = slice(-k, None)
+        pad[tuple(dst)] = values[tuple(src)]
+        return pad
+
+    return (shifted(1) - shifted(-1)) / (2.0 * h)
+
+
+def _reference_field_apply(i, f):
+    grid = f.grid
+    c = grid.model.field_coefficients(i, grid.points())
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for d in range(grid.dim):
+        cd = c[..., d]
+        if np.any(cd != 0):
+            out += cd * _padded_central_diff(f.values, d, grid.spacings[d])
+    return out
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "model_id,shape",
+    [("r1", (33,)), ("rn:2", (12, 9)), ("affine", (10, 11)), ("heis1", (9, 8, 7)), ("heis1", (2, 3, 2))],
+)
+def test_vector_field_apply_matches_padded_reference(model_id, shape):
+    model = model_from_id(model_id)
+    lo = model.to_internal(model.identity()) - 2.0
+    grid = Grid.regular(model, lo, lo + 4.0, shape)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # signed zeros at every other node of both faces and of the layers
+    # next to them
+    idx = np.indices(shape)
+    every_other = idx.sum(axis=0) % 2 == 0
+    for d, n in enumerate(shape):
+        for k, z in ((0, complex(0.0, -0.0)), (1, complex(-0.0, 0.0)),
+                     (n - 2, complex(-0.0, -0.0)), (n - 1, complex(0.0, 0.0))):
+            v[(idx[d] == k) & every_other] = z
+    f = GridFunction(grid, v)
+    if model_id == "affine":  # no vector fields
+        with pytest.raises(UnsupportedModelError):
+            vector_field_apply(0, f)
+        return
+    for i in range(model.dim):
+        assert _sha(vector_field_apply(i, f).values) == _sha(_reference_field_apply(i, f)), i
 
 
 def test_sublaplacian_symmetric():
@@ -168,6 +238,82 @@ def test_estimate_constants_flags_verified_b(tmp_path, monkeypatch):
     est = estimate_constants(grid, proj, b_scan=(0.5, 1.0))
     assert est.metadata["b_verified"] is True
     assert est.b == 0.5
+
+
+@pytest.fixture(scope="module")
+def h1_small():
+    grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
+    return grid, sublaplacian_spectrum(grid, 1.0)
+
+
+def _apply_multiindex(alpha, f):
+    """X^alpha f composed from scratch, fields applied left to right."""
+    out = f
+    for i, k in enumerate(alpha):
+        for _ in range(int(k)):
+            out = analysis.vector_field_apply(i, out)
+    return out
+
+
+def test_estimate_constants_matches_per_alpha_composition(h1_small, monkeypatch):
+    grid, proj = h1_small
+    calls = []
+    apply = analysis.vector_field_apply
+
+    def counted(i, f):
+        calls.append(i)
+        return apply(i, f)
+
+    monkeypatch.setattr(analysis, "vector_field_apply", counted)
+    est = estimate_constants(grid, proj)
+    # one application per distinct (function, alpha): |alpha| <= 4 on every
+    # eigenvector, |alpha| <= 3 on each of the 12 bumps
+    assert proj.dim > 16
+    n_pairs = len(analysis._multiindices(3, 4)) * proj.dim + len(analysis._multiindices(3, 3)) * 12
+    assert len(calls) == n_pairs
+
+    # the reference composes every X^alpha from scratch
+    monkeypatch.setattr(analysis, "_derivative", lambda tree, a: _apply_multiindex(a, tree[(0, 0, 0)]))
+    ref = estimate_constants(grid, proj)
+    assert len(calls) > 3 * n_pairs
+    for name in ("c_ku", "c_g", "b", "ball_volume_1"):
+        assert getattr(est, name) == getattr(ref, name), name
+    assert list(est.bernstein_norms.items()) == list(ref.bernstein_norms.items())
+    assert est.metadata == ref.metadata
+
+
+def test_cold_spectrum_repeats_bit_for_bit(h1_small):
+    grid, proj = h1_small
+    again = sublaplacian_spectrum(grid, 1.0)
+    assert _sha(again.eigenvalues) == _sha(proj.eigenvalues)
+    assert _sha(again.basis_matrix()) == _sha(proj.basis_matrix())
+    # the sign convention: each eigenvector's largest-modulus entry is positive
+    b = proj.basis_matrix()
+    assert np.all(b[np.arange(len(b)), np.argmax(np.abs(b), axis=1)] > 0)
+
+
+def test_spectrum_factors_once_across_restarts(monkeypatch):
+    import importlib
+
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+    counts = {"splu": 0, "eigsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # scipy's eigsh factors through its own reference to splu
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    monkeypatch.setattr(arpack, "splu", counted("splu", arpack.splu))
+    monkeypatch.setattr(spla, "eigsh", counted("eigsh", spla.eigsh))
+    grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
+    proj = sublaplacian_spectrum(grid, 1.0)
+    # 36 eigenpairs in the band: k = 16, 32, 64
+    assert proj.dim > 32
+    assert counts == {"splu": 1, "eigsh": 3}
 
 
 def _reference_oscillation(f, offsets):
