@@ -9,10 +9,11 @@ is a statement about that discrete space.
 
 from __future__ import annotations
 
-import contextlib
+import functools
+import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +33,8 @@ __all__ = [
     "random_bandlimited",
     "estimate_constants",
     "ConstantEstimates",
+    "oscillation_constant",
+    "version_hash",
     "oscillation_scaling_check",
     "projector_dilation_angle",
 ]
@@ -307,25 +310,54 @@ def _lambda_max_estimate(L, iters=30, seed=0):
     return lam
 
 
-#: cache lookups since import by outcome: the eigenpair files of
-#: ``sublaplacian_spectrum`` and the constants files of the CLI; a run
-#: reports the difference over its span
+#: cache lookups since import by outcome, over every entry ``_cached``
+#: serves; a run reports the difference over its span
 CACHE_COUNTS = {"hits": 0, "misses": 0}
 
 
-@contextlib.contextmanager
-def _atomic_open(path, mode="wb"):
-    """A temporary file beside ``path`` that replaces ``path`` on a clean
-    exit and is removed on an error: a failed or killed writer never leaves
-    a partial file at ``path``."""
+@functools.cache
+def version_hash():
+    """Content hash of the library sources, read once per process."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                digest.update(name.encode())
+                digest.update(fh.read())
+    return digest.hexdigest()[:16]
+
+
+def _cached(kind, grid, omega, cache_dir, compute):
+    """The arrays ``compute()`` returns, through ``cache_dir``.
+
+    The entry is named by kind, ``version_hash``, grid hash and omega, so a
+    file written by other code is never read.  Each lookup counts as a hit
+    or a miss in ``CACHE_COUNTS``.  A write goes to a temporary file that
+    replaces the entry only when complete, so a failed or killed writer
+    leaves no partial entry.  Without a directory nothing is cached or
+    counted.
+    """
+    if not cache_dir:
+        return compute()
+    name = f"{kind}-{version_hash()}-{grid.content_hash()}-{float(omega)!r}.npz"
+    path = os.path.join(cache_dir, name)
+    if os.path.exists(path):
+        CACHE_COUNTS["hits"] += 1
+        with np.load(path) as data:
+            return {k: data[k] for k in data.files}
+    arrays = compute()
+    CACHE_COUNTS["misses"] += 1
+    os.makedirs(cache_dir, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode) as fh:
-            yield fh
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    return arrays
 
 
 def sublaplacian_spectrum(grid: Grid, omega: float, cache_dir: str | None = None) -> SpectralProjector:
@@ -333,24 +365,18 @@ def sublaplacian_spectrum(grid: Grid, omega: float, cache_dir: str | None = None
 
     Rejects bandwidths beyond a quarter of the largest discrete eigenvalue:
     such modes are not resolved by the grid.  Eigenpairs are cached on disk
-    keyed by (grid hash, omega, boundary condition); each lookup counts as a
-    hit or a miss in ``CACHE_COUNTS``.  Lanczos starts from a fixed vector
-    and restarts with twice the eigenpair count, up to 400, from one sparse
-    LU factorization of the matrix; each eigenvector's largest-modulus entry
-    is positive, so a cold solve repeats bit for bit.
+    (``_cached``).  Lanczos starts from a fixed vector and restarts with
+    twice the eigenpair count, up to 400, from one sparse LU factorization
+    of the matrix; each eigenvector's largest-modulus entry is positive, so
+    a cold solve repeats bit for bit.
     """
     if omega <= 0:
         raise ValueError("bandwidth must be positive")
-    key = f"spec_{grid.content_hash()}_{omega:.12g}_dirichlet"
-    if cache_dir:
-        path = os.path.join(cache_dir, key + ".npz")
-        if os.path.exists(path):
-            CACHE_COUNTS["hits"] += 1
-            data = np.load(path)
-            return SpectralProjector(
-                grid, omega, data["vals"], data["vecs"].reshape((-1,) + grid.shape)
-            )
+    data = _cached("spectrum", grid, omega, cache_dir, lambda: _band_eigenpairs(grid, omega))
+    return SpectralProjector(grid, omega, data["vals"], data["vecs"].reshape((-1,) + grid.shape))
 
+
+def _band_eigenpairs(grid, omega):
     L = sublaplacian_matrix(grid)
     lam_max = _lambda_max_estimate(L)
     if omega > lam_max / 4.0:
@@ -380,15 +406,7 @@ def sublaplacian_spectrum(grid: Grid, omega: float, cache_dir: str | None = None
     # orthonormalize in the weighted inner product (weights are a constant
     # cell volume for unimodular models)
     cell = float(np.prod(grid.spacings))
-    vecs = (vecs / math.sqrt(cell)).T.reshape((-1,) + grid.shape)
-
-    proj = SpectralProjector(grid, omega, vals, vecs)
-    if cache_dir:
-        CACHE_COUNTS["misses"] += 1
-        os.makedirs(cache_dir, exist_ok=True)
-        with _atomic_open(os.path.join(cache_dir, key + ".npz")) as fh:
-            np.savez_compressed(fh, vals=vals, vecs=proj.basis_matrix())
-    return proj
+    return {"vals": vals, "vecs": (vecs / math.sqrt(cell)).T}
 
 
 def random_bandlimited(proj: SpectralProjector, seed: int = 0) -> GridFunction:
@@ -429,7 +447,7 @@ class ConstantEstimates:
     bernstein_norms: dict  # multiindex -> empirical ||X^alpha||_{E_1 -> L2}
     ball_volume_1: float  # |B_1| by quadrature
     c_g: float
-    metadata: dict = field(default_factory=dict)
+    b_verified: bool  # False when every scanned b showed a violation
 
     @staticmethod
     def assemble(n_dim, q_hom, b, c_ku, vol1, bernstein_norms) -> float:
@@ -465,7 +483,6 @@ def _bump_family(grid, count, seed):
 
 
 def estimate_constants(
-    grid: Grid,
     proj_e1: SpectralProjector,
     b_scan=(1.0, 1.25, 1.5, 2.0, 2.5, 3.0),
 ) -> ConstantEstimates:
@@ -477,9 +494,10 @@ def estimate_constants(
     the smallest scanned dilation with no observed violation, and the
     Bernstein norms are maxima over the retained eigenbasis.  When every
     scanned dilation shows a violation, the last one is used and
-    ``metadata["b_verified"]`` is False.  Each derivative X^alpha f is
-    computed once and serves all three estimates.
+    ``b_verified`` is False.  Each derivative X^alpha f is computed once and
+    serves all three estimates.
     """
+    grid = proj_e1.grid
     model = grid.model
     n = model.dim
     q = model.homogeneous_dimension
@@ -573,12 +591,20 @@ def estimate_constants(
         bernstein_norms=bern,
         ball_volume_1=vol1,
         c_g=c_g,
-        metadata={
-            "family_size": len(family),
-            "eigen_dim": proj_e1.dim,
-            "b_verified": b_verified,
-        },
+        b_verified=b_verified,
     )
+
+
+def oscillation_constant(proj: SpectralProjector, cache_dir: str | None):
+    """``(c_g, b_verified)`` of ``estimate_constants`` on ``proj``, through
+    the cache (``_cached``)."""
+
+    def estimate():
+        est = estimate_constants(proj)
+        return {"c_g": np.array(est.c_g), "b_verified": np.array(est.b_verified)}
+
+    data = _cached("constants", proj.grid, proj.omega, cache_dir, estimate)
+    return float(data["c_g"]), bool(data["b_verified"])
 
 
 def oscillation_scaling_check(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -47,10 +46,10 @@ from .analysis import (
     sublaplacian_matrix,
     sublaplacian_spectrum,
     random_bandlimited,
-    estimate_constants,
+    oscillation_constant,
     oscillation_scaling_check,
+    version_hash,
     CACHE_COUNTS,
-    _atomic_open,
 )
 from .kernels import SincKernel, mexican_hat, mexican_hats, cosine_taper_bump, mollified_vector
 from .frames import (
@@ -174,18 +173,6 @@ def _config_from_dict(raw):
     return ExperimentConfig(tolerances=tols, **kwargs).validate()
 
 
-def version_hash():
-    """Content hash of the installed library sources."""
-    pkg = os.path.dirname(os.path.abspath(__file__))
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name), "rb") as fh:
-                digest.update(name.encode())
-                digest.update(fh.read())
-    return digest.hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
@@ -269,34 +256,6 @@ def _h1_projector(cfg, cache_dir, half=7.0):
     grid = Grid.regular(HeisenbergModel(), [-half] * 3, [half] * 3, (n,) * 3)
     omega = cfg.omega if cfg.omega is not None else 1.0
     return sublaplacian_spectrum(grid, omega, cache_dir=cache_dir)
-
-
-def _cached_c_g(grid, proj, cache_dir):
-    """Constants of ``estimate_constants`` through the cache directory,
-    counted in ``CACHE_COUNTS``.  ``b_verified`` is None when read from a
-    file written without it."""
-    key = f"constants-{grid.content_hash()[:16]}-{proj.omega:.6g}.json"
-    path = os.path.join(cache_dir, key)
-    if os.path.exists(path):
-        CACHE_COUNTS["hits"] += 1
-        with open(path) as fh:
-            data = json.load(fh)
-        data.setdefault("b_verified", None)
-        return data
-    est = estimate_constants(grid, proj)
-    CACHE_COUNTS["misses"] += 1
-    data = {
-        "c_g": est.c_g,
-        "c_ku": est.c_ku,
-        "b": est.b,
-        "b_verified": est.metadata["b_verified"],
-        "ball_volume_1": est.ball_volume_1,
-        "bernstein_norms": {str(k): v for k, v in est.bernstein_norms.items()},
-    }
-    os.makedirs(cache_dir, exist_ok=True)
-    with _atomic_open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
-    return data
 
 
 def haar_scaling_ratio(model, t=1.3, n=4_000_000, seed=0):
@@ -482,7 +441,7 @@ def _heisenberg_report(cfg, cache_dir):
     if not 0 < x_target < 1:
         raise ConfigError("r plays the role of x = r sqrt(omega) C_G here: need 0 < r < 1")
     proj = _h1_projector(cfg, cache_dir)
-    c_g = _cached_c_g(proj.grid, proj, cache_dir)["c_g"]
+    c_g, _ = oscillation_constant(proj, cache_dir)
     return heisenberg_sampling_experiment(
         proj, c_g, x_target=x_target, seed=cfg.seed, cache_dir=cache_dir
     )
@@ -658,8 +617,7 @@ def _exp_constants(cfg, cache_dir):
     ratio = haar_scaling_ratio(model, t=t, seed=cfg.seed)
     checks.append(_check("haar-scaling", abs(ratio / t**4 - 1.0) < cfg.tol("tol_haar", 1e-2),
                          ratio=ratio, expected=t**4))
-    consts = _cached_c_g(grid, proj, cache_dir)
-    c_g = consts["c_g"]
+    c_g, b_verified = oscillation_constant(proj, cache_dir)
     scal = oscillation_scaling_check(proj, (0.1, 0.2, 0.4), c_g, seed=cfg.seed)
     rows = [
         {"r": row["r"], "max_ratio": row["max_ratio"],
@@ -667,7 +625,7 @@ def _exp_constants(cfg, cache_dir):
         for row in scal["rows"]
     ]
     checks.append(_check("osc-scaling-bound", scal["bound_satisfied"], c_g=c_g,
-                         b_verified=consts["b_verified"]))
+                         b_verified=b_verified))
     checks.append(_check("osc-scaling-linearity",
                          scal["ratio_over_r_spread"] < cfg.tol("tol_spread", 0.25),
                          spread=scal["ratio_over_r_spread"], slope=scal["slope"],

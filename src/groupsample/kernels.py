@@ -232,8 +232,7 @@ class WaveletSystem:
     affine_grid: Grid
     h: GridFunction
     c_factor: float  # ||V_psi phi|| / ||V_eta phi|| over the probe family (max)
-    admissibility: float
-    metadata: dict = field(default_factory=dict)
+    _eta: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def eta_on_line(self, s_grid: Grid) -> GridFunction:
         """The analyzing vector eta = V_psi^* h realized on the line.
@@ -244,9 +243,8 @@ class WaveletSystem:
         V_psi phi * h^* without touching the affine grid's interpolation.
         """
         key = s_grid.content_hash()
-        cached = self.metadata.get("_eta_cache")
-        if cached is not None and cached[0] == key:
-            return cached[1]
+        if self._eta is not None and self._eta[0] == key:
+            return self._eta[1]
         hg = self.h.grid
         w = hg.weights().reshape(-1)
         hv = self.h.values.reshape(-1)
@@ -258,7 +256,7 @@ class WaveletSystem:
         for (a, b), c in zip(zs, coef):
             vals += c * interpolate(self.psi.values, self.psi.grid, ((s - b) / a)[:, None]) / math.sqrt(a)
         eta = GridFunction(s_grid, vals.reshape(s_grid.shape))
-        self.metadata["_eta_cache"] = (key, eta)
+        self._eta = (key, eta)
         return eta
 
     def transform_eta_direct(self, phi: GridFunction, points_chart) -> np.ndarray:
@@ -368,24 +366,14 @@ def mollified_vector(psi: GridFunction, affine_grid: Grid, h: GridFunction) -> W
     1e-10).
     """
     probes = mexican_hats(psi.grid, [(0.0, 1.0), (0.7, 1.3), (-1.1, 0.8)])
-    adm = admissibility_constant(psi)
     nodes = affine_grid.points().reshape(-1, 2)
     c_best = 0.0
-    norms = []
     for phi in probes:
         W = wavelet_transform(phi, psi, affine_grid)
         eta_vals = _conv_hstar_at(W, h, nodes)
         eta_f = GridFunction(affine_grid, eta_vals.reshape(affine_grid.shape))
         n_eta = eta_f.norm_l2()
-        norms.append(n_eta)
         if n_eta < 1e-10:
             raise ValueError("mollifier projects to zero on the transform range")
         c_best = max(c_best, W.norm_l2() / n_eta)
-    return WaveletSystem(
-        psi=psi,
-        affine_grid=affine_grid,
-        h=h,
-        c_factor=c_best,
-        admissibility=adm,
-        metadata={"probe_eta_norms": [float(n) for n in norms]},
-    )
+    return WaveletSystem(psi=psi, affine_grid=affine_grid, h=h, c_factor=c_best)

@@ -20,6 +20,7 @@ from groupsample import (
     random_bandlimited,
     oscillation_scaling_check,
     estimate_constants,
+    ConstantEstimates,
 )
 from groupsample.analysis import projector_dilation_angle
 from groupsample.groups import UnsupportedModelError, model_from_id
@@ -219,11 +220,34 @@ def test_spectrum_cache_write_is_atomic(tmp_path, monkeypatch):
     assert np.array_equal(again.eigenvalues, proj.eigenvalues)
 
 
+def test_cache_serves_no_entry_from_other_code(tmp_path, monkeypatch):
+    # entries written under another version_hash are never read, for both
+    # kinds: the lookups miss and recompute
+    grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
+    c_gs = iter([2.5, 3.5])
+    monkeypatch.setattr(analysis, "estimate_constants", lambda proj: ConstantEstimates(
+        c_ku=1.0, b=3.0, bernstein_norms={}, ball_volume_1=1.0, c_g=next(c_gs), b_verified=False))
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "version_hash", lambda: "0" * 16)
+        old = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+        assert analysis.oscillation_constant(old, str(tmp_path)) == (2.5, False)
+    # a wrong band under the other version would show if it were served
+    (stale,) = tmp_path.glob("spectrum-*.npz")
+    np.savez_compressed(stale, vals=old.eigenvalues + 1.0, vecs=old.eigenvectors)
+    counts0 = dict(analysis.CACHE_COUNTS)
+    proj = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+    assert analysis.oscillation_constant(proj, str(tmp_path)) == (3.5, False)
+    assert (analysis.CACHE_COUNTS["misses"] - counts0["misses"],
+            analysis.CACHE_COUNTS["hits"] - counts0["hits"]) == (2, 0)
+    assert np.array_equal(proj.eigenvalues, old.eigenvalues)
+    assert len(list(tmp_path.iterdir())) == 4
+
+
 def test_estimate_constants_flags_unverified_b(tmp_path):
     grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
     proj = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
-    est = estimate_constants(grid, proj, b_scan=(0.5, 1.0))
-    assert est.metadata["b_verified"] is False
+    est = estimate_constants(proj, b_scan=(0.5, 1.0))
+    assert est.b_verified is False
     assert est.b == 1.0
 
 
@@ -235,8 +259,8 @@ def test_estimate_constants_flags_verified_b(tmp_path, monkeypatch):
     monkeypatch.setattr(
         analysis, "vector_field_apply", lambda j, f: GridFunction(f.grid, np.full(f.grid.shape, 1e6))
     )
-    est = estimate_constants(grid, proj, b_scan=(0.5, 1.0))
-    assert est.metadata["b_verified"] is True
+    est = estimate_constants(proj, b_scan=(0.5, 1.0))
+    assert est.b_verified is True
     assert est.b == 0.5
 
 
@@ -265,7 +289,7 @@ def test_estimate_constants_matches_per_alpha_composition(h1_small, monkeypatch)
         return apply(i, f)
 
     monkeypatch.setattr(analysis, "vector_field_apply", counted)
-    est = estimate_constants(grid, proj)
+    est = estimate_constants(proj)
     # one application per distinct (function, alpha): |alpha| <= 4 on every
     # eigenvector, |alpha| <= 3 on each of the 12 bumps
     assert proj.dim > 16
@@ -274,12 +298,11 @@ def test_estimate_constants_matches_per_alpha_composition(h1_small, monkeypatch)
 
     # the reference composes every X^alpha from scratch
     monkeypatch.setattr(analysis, "_derivative", lambda tree, a: _apply_multiindex(a, tree[(0, 0, 0)]))
-    ref = estimate_constants(grid, proj)
+    ref = estimate_constants(proj)
     assert len(calls) > 3 * n_pairs
-    for name in ("c_ku", "c_g", "b", "ball_volume_1"):
+    for name in ("c_ku", "c_g", "b", "ball_volume_1", "b_verified"):
         assert getattr(est, name) == getattr(ref, name), name
     assert list(est.bernstein_norms.items()) == list(ref.bernstein_norms.items())
-    assert est.metadata == ref.metadata
 
 
 def test_cold_spectrum_repeats_bit_for_bit(h1_small):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import groupsample.analysis as analysis
 import groupsample.cli as cli
 from groupsample import ConstantEstimates, Grid, HeisenbergModel, SpectralProjector
 from groupsample.cli import (
@@ -241,32 +242,40 @@ def test_constants_cache_write_is_atomic(tmp_path, monkeypatch):
     proj = SpectralProjector(grid, 1.0, np.zeros(1), np.ones((1,) + grid.shape))
     est = ConstantEstimates(
         c_ku=1.0, b=3.0, bernstein_norms={(1, 0, 0): 1.0}, ball_volume_1=1.0, c_g=2.5,
-        metadata={"b_verified": False},
+        b_verified=False,
     )
-    monkeypatch.setattr(cli, "estimate_constants", lambda grid, proj: est)
-    counts0 = dict(cli.CACHE_COUNTS)
+    monkeypatch.setattr(analysis, "estimate_constants", lambda proj: est)
+    counts0 = dict(analysis.CACHE_COUNTS)
 
-    def broken_dump(obj, fh, **kwargs):
-        fh.write('{"c_g": ')
+    def broken_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial")
         raise OSError("no space left on device")
 
     with monkeypatch.context() as m, pytest.raises(OSError):
-        m.setattr(json, "dump", broken_dump)
-        cli._cached_c_g(grid, proj, str(tmp_path))
+        m.setattr(analysis.np, "savez_compressed", broken_savez)
+        analysis.oscillation_constant(proj, str(tmp_path))
     assert list(tmp_path.iterdir()) == []
 
-    data = cli._cached_c_g(grid, proj, str(tmp_path))
-    assert (data["c_g"], data["b_verified"]) == (2.5, False)
-    (path,) = tmp_path.iterdir()
-    assert cli._cached_c_g(grid, proj, str(tmp_path)) == data
-    assert (cli.CACHE_COUNTS["misses"] - counts0["misses"],
-            cli.CACHE_COUNTS["hits"] - counts0["hits"]) == (2, 1)
+    data = analysis.oscillation_constant(proj, str(tmp_path))
+    assert data == (2.5, False)
+    assert [type(v) for v in data] == [float, bool]
+    assert len(list(tmp_path.iterdir())) == 1
+    assert analysis.oscillation_constant(proj, str(tmp_path)) == data
+    assert (analysis.CACHE_COUNTS["misses"] - counts0["misses"],
+            analysis.CACHE_COUNTS["hits"] - counts0["hits"]) == (2, 1)
 
-    # a file written before the flag existed reports it as unknown
-    old = json.loads(path.read_text())
-    del old["b_verified"]
-    path.write_text(json.dumps(old))
-    assert cli._cached_c_g(grid, proj, str(tmp_path))["b_verified"] is None
+
+def test_sweep_omega_keeps_one_constants_entry_per_omega(tmp_path, monkeypatch):
+    # omegas that agree to 6 significant digits are two bands, so two C_G
+    # entries: the second value reads none of the first value's entries
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("GROUPSAMPLE_CACHE", str(cache))
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = heisenberg\nresolution = 9\noutdir = {out}\n")
+    assert main(["sweep", path, "--param", "omega", "--values", "1.0", "1.0000001"]) != 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["cache"] == {"hits": 0, "misses": 6}
+    assert len([p for p in cache.iterdir() if p.name.startswith("constants-")]) == 2
 
 
 def test_import_loads_no_scipy_signal_or_spatial():
@@ -302,3 +311,16 @@ def test_layer_exports_match_definitions():
         mod = importlib.import_module(f"groupsample.{layer}")
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], layer
         assert [n for n in imported.get(layer, ()) if n not in mod.__all__] == [], layer
+    # one module owns each private name: none imports an underscore name
+    # from another
+    pkg = os.path.dirname(groupsample.__file__)
+    private = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                for node in ast.walk(ast.parse(fh.read())):
+                    if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").startswith("groupsample")
+                    ):
+                        private += [f"{name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
