@@ -9,6 +9,7 @@ is a statement about that discrete space.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
@@ -335,12 +336,14 @@ def _cached(kind, grid, omega, cache_dir, compute):
     file written by other code is never read.  Each lookup counts as a hit
     or a miss in ``CACHE_COUNTS``.  A write goes to a temporary file that
     replaces the entry only when complete, so a failed or killed writer
-    leaves no partial entry.  Without a directory nothing is cached or
-    counted.
+    leaves no partial entry; then the entries of the same kind, grid and
+    omega that other code versions wrote are deleted.  Without a directory
+    nothing is cached or counted.
     """
     if not cache_dir:
         return compute()
-    name = f"{kind}-{version_hash()}-{grid.content_hash()}-{float(omega)!r}.npz"
+    entry = f"{grid.content_hash()}-{float(omega)!r}.npz"
+    name = f"{kind}-{version_hash()}-{entry}"
     path = os.path.join(cache_dir, name)
     if os.path.exists(path):
         CACHE_COUNTS["hits"] += 1
@@ -357,6 +360,11 @@ def _cached(kind, grid, omega, cache_dir, compute):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for old in os.listdir(cache_dir):
+        if old.startswith(f"{kind}-") and old.endswith(f"-{entry}") and old != name:
+            # another process may have pruned it first
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(cache_dir, old))
     return arrays
 
 

@@ -117,8 +117,9 @@ def interpolate(values: np.ndarray, grid: Grid, pts_internal: np.ndarray) -> np.
     Along each axis the interpolant ramps linearly from the first node to
     zero at ``lo - h`` and from the last node to zero at ``hi``, so it is
     supported on (lo - h, hi); it is zero outside, and at NaN points.
-    ``values`` may carry leading batch axes: shape (..., *grid.shape); each
-    point's stencil is built once for the whole batch.
+    ``values`` are finite and may carry leading batch axes: shape
+    (..., *grid.shape); each point's stencil is built once for the whole
+    batch.
     """
     pts = np.asarray(pts_internal, dtype=float)
     squeeze = pts.ndim == 1
@@ -134,16 +135,22 @@ def interpolate(values: np.ndarray, grid: Grid, pts_internal: np.ndarray) -> np.
     # per axis: the two node indices of each point, clipped onto the grid,
     # and their weights, 0 where the node is off the grid; the corners
     # follow in the order of their bits, axis 0 lowest, with weights
-    # multiplied axis by axis
+    # multiplied axis by axis.  On an axis where every point sits on a node
+    # the upper weight is 0 for every point, so that corner's terms are +-0
+    # and leave the sum unchanged: only the lower corner is built.
     i0 = np.floor(u)
     frac = u - i0
     i0 = i0.astype(np.int64)
     strides = np.cumprod((grid.shape + (1,))[::-1])[::-1][1:]
     for d, n in enumerate(grid.shape):
         # -1 <= k <= n; a negative index viewed as unsigned is never below n
-        k, k1 = i0[d], i0[d] + 1
-        w = [np.where(k.view(np.uint64) < n, 1.0 - frac[d], 0.0), np.where(k1 < n, frac[d], 0.0)]
-        c = [np.minimum(np.maximum(k, 0), n - 1) * strides[d], np.minimum(k1, n - 1) * strides[d]]
+        k = i0[d]
+        w = [np.where(k.view(np.uint64) < n, 1.0 - frac[d], 0.0)]
+        c = [np.minimum(np.maximum(k, 0), n - 1) * strides[d]]
+        if frac[d].any():
+            k1 = k + 1
+            w.append(np.where(k1 < n, frac[d], 0.0))
+            c.append(np.minimum(k1, n - 1) * strides[d])
         if d == 0:
             weights, index = w, c
         else:

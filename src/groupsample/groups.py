@@ -135,7 +135,9 @@ class GroupModel:
         """Distance-like gauge used by point-set certification.
 
         Equals the homogeneous norm where one exists; the affine group uses
-        the max of |log a| and |b| (a coordinate box gauge).
+        the max of |log a| and |b| (a coordinate box gauge).  In internal
+        coordinates u it does not decrease as any |u_k| grows, so a box of
+        internal coordinates lies in the ball of its farthest corner's gauge.
         """
         return self.norm(g)
 

@@ -94,6 +94,9 @@ _CELLS_PER_BOX = 4
 # grid-resolution tolerance of a partition's radii: U is tested at
 # u + _RADIUS_TOL and W at w - _RADIUS_TOL
 _RADIUS_TOL = 1e-12
+# translates per candidate search of tiling_check: a block's pairs are held
+# at once, so it bounds the memory
+_TILE_BLOCK = 16
 
 
 def _near_pairs(model, x, pts, r):
@@ -371,18 +374,27 @@ def quasilattice_semidirect(model, base_range, ell_range):
 
 def tiling_check(ps: PointSet, c_lo, c_hi, shape=48) -> Certificate:
     """Gamma C covers the region disjointly: every grid node lies in exactly
-    one translate gamma C (C a half-open internal-coordinate box)."""
+    one translate gamma C (C a half-open internal-coordinate box).
+
+    A translate is tested only on the nodes ``_near_pairs`` finds within the
+    gauge of C's farthest corner, padded for rounding: the gauge does not
+    decrease as any |u_k| grows, so that ball holds C.
+    """
     model = ps.model
     c_lo = np.asarray(c_lo, dtype=float)
     c_hi = np.asarray(c_hi, dtype=float)
+    lo, hi = c_lo - 1e-9, c_hi - 1e-9
     grid = Grid.regular(model, ps.lo, ps.hi, shape)
     x = grid.points().reshape(-1, model.dim)
+    corner = model.from_internal(np.maximum(np.abs(lo), np.abs(hi)))
+    r = float(model.gauge(corner)) * (1.0 + 1e-6)
     counts = np.zeros(len(x), dtype=np.int64)
     inv = model.inv(ps.points)
-    for g in inv:
-        q = model.to_internal(model.mul(g[None, :], x))
-        inside = np.all((q >= c_lo - 1e-9) & (q < c_hi - 1e-9), axis=1)
-        counts += inside
+    for start in range(0, len(ps), _TILE_BLOCK):
+        i, j, _ = _near_pairs(model, x, ps.points[start : start + _TILE_BLOCK], r)
+        q = model.to_internal(model.mul(inv[start + j], x[i]))
+        inside = np.all((q >= lo) & (q < hi), axis=1)
+        counts += np.bincount(i[inside], minlength=len(x))
     passed = bool(np.all(counts == 1))
     return Certificate(
         "quasi-lattice", float(np.max(c_hi - c_lo)), passed,

@@ -240,7 +240,29 @@ def test_cache_serves_no_entry_from_other_code(tmp_path, monkeypatch):
     assert (analysis.CACHE_COUNTS["misses"] - counts0["misses"],
             analysis.CACHE_COUNTS["hits"] - counts0["hits"]) == (2, 0)
     assert np.array_equal(proj.eigenvalues, old.eigenvalues)
-    assert len(list(tmp_path.iterdir())) == 4
+    # the new entries replaced the other version's
+    assert sorted(p.name.split("-")[1] for p in tmp_path.iterdir()) == [analysis.version_hash()] * 2
+
+
+def test_cache_write_prunes_other_versions(tmp_path):
+    # a miss deletes the entry of the same kind, grid and omega that another
+    # version wrote, and nothing else
+    grid = Grid.regular(EuclideanModel(1), [0.0], [1.0], (8,))
+    other = Grid.regular(EuclideanModel(1), [0.0], [1.0], (16,))
+    stale = tmp_path / f"spectrum-{'0' * 16}-{grid.content_hash()}-1.0.npz"
+    keep = [
+        tmp_path / f"spectrum-{'0' * 16}-{grid.content_hash()}-2.0.npz",
+        tmp_path / f"spectrum-{'0' * 16}-{other.content_hash()}-1.0.npz",
+        tmp_path / f"constants-{'0' * 16}-{grid.content_hash()}-1.0.npz",
+    ]
+    for path in [stale, *keep]:
+        np.savez_compressed(path, a=np.zeros(1))
+    counts0 = dict(analysis.CACHE_COUNTS)
+    arrays = analysis._cached("spectrum", grid, 1.0, str(tmp_path), lambda: {"a": np.arange(3)})
+    assert analysis.CACHE_COUNTS["misses"] - counts0["misses"] == 1
+    assert np.array_equal(arrays["a"], np.arange(3))
+    new = tmp_path / f"spectrum-{analysis.version_hash()}-{grid.content_hash()}-1.0.npz"
+    assert sorted(tmp_path.iterdir()) == sorted([new, *keep])
 
 
 def test_estimate_constants_flags_unverified_b(tmp_path):

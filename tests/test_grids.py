@@ -175,3 +175,64 @@ def test_interpolate_matches_corner_loop_bytes(model, lo, hi, shape):
                 ref = _interpolate_reference(values, grid, p)
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 assert _digest(got) == _digest(ref)
+
+
+def _node_points(grid, rng, free_axis=None, count=400):
+    """Internal-coordinate points on nodes on every axis but ``free_axis``:
+    whole node coordinates u = (x - lo)/h, with u = -1, u = n, far outside
+    and NaN among them; the free axis mixes random values in."""
+    cols = []
+    for d, n in enumerate(grid.shape):
+        if d == free_axis:
+            k = rng.uniform(-1.5, n + 0.5, size=count)
+        else:
+            special = np.array([-1.0, n, -7.0, n + 9.0, np.nan])
+            k = np.where(
+                rng.uniform(size=count) < 0.8,
+                rng.integers(0, n, size=count),
+                special[rng.integers(0, len(special), size=count)],
+            )
+        cols.append(k)
+    return grid.lo + grid.spacings * np.stack(cols, axis=-1)
+
+
+def _signed_zeros(values, rng):
+    """Values with about a third of their entries zero, of either sign; the
+    parts of a complex zero take their signs independently, so (-0, -0) is
+    among them.  A node-aligned point picks its node's value up unchanged."""
+    out = values.copy()
+    zero = rng.uniform(size=values.shape) < 0.35
+    for part in (out.real, out.imag) if np.iscomplexobj(out) else (out,):
+        part[zero] = np.where(rng.uniform(size=values.shape) < 0.5, -0.0, 0.0)[zero]
+    return out
+
+
+@pytest.mark.parametrize(
+    "model,lo,hi,shape",
+    [
+        (EuclideanModel(1), [-2.0], [2.5], (9,)),
+        (EuclideanModel(2), [0.0, -1.0], [3.0, 1.5], (6, 5)),
+        (AffineModel(), [-1.0, -2.0], [2.5, 1.0], (7, 6)),
+        (HeisenbergModel(), [-2.0, -1.5, -3.0], [0.5, 1.5, 0.5], (5, 6, 7)),
+    ],
+    ids=["r1", "rn2", "affine", "heis1"],
+)
+def test_interpolate_on_node_aligned_axes_matches_corner_loop_bytes(model, lo, hi, shape):
+    # spacings of 1/2 make u exact, so the aligned axes build one corner;
+    # signed zeros show whether the kept corner is added to +0 as before
+    grid = Grid.regular(model, lo, hi, shape)
+    rng = np.random.default_rng(6)
+    for free_axis in (None, *range(grid.dim)):
+        pts = _node_points(grid, rng, free_axis)
+        u = (pts - grid.lo) / grid.spacings
+        aligned = [d for d in range(grid.dim) if d != free_axis]
+        assert np.all((u[:, aligned] == np.floor(u[:, aligned])) | np.isnan(u[:, aligned]))
+        for batch in ((), (3,)):
+            real = _signed_zeros(rng.normal(size=batch + shape), rng)
+            cplx = _signed_zeros(rng.normal(size=batch + shape) + 1j * rng.normal(size=batch + shape), rng)
+            for values in (real, cplx):
+                for p in (pts, pts.reshape(20, -1, grid.dim), pts[3]):
+                    got = interpolate(values, grid, p)
+                    ref = _interpolate_reference(values, grid, p)
+                    assert got.dtype == ref.dtype and got.shape == ref.shape
+                    assert _digest(got) == _digest(ref)

@@ -98,6 +98,19 @@ def test_affine_separation_distance_sound(s):
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.model_id())
+def test_gauge_grows_with_internal_coordinates(model):
+    # the gauge of an internal-coordinate box's points is at most that of
+    # its farthest corner, as tiling_check's candidate radius assumes
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        lo, hi = np.sort(rng.uniform(-3.0, 3.0, size=(2, model.dim)), axis=0)
+        u = rng.uniform(lo, hi, size=(2000, model.dim))
+        corner = np.maximum(np.abs(lo), np.abs(hi))
+        bound = model.gauge(model.from_internal(corner))
+        assert np.all(model.gauge(model.from_internal(u)) <= bound * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.model_id())
 def test_ball_box_holds_ball(model):
     rng = np.random.default_rng(4)
     r = 1.3

@@ -10,6 +10,7 @@ from groupsample import (
     HeisenbergModel,
     Grid,
     PointSet,
+    Certificate,
     verify_separated,
     verify_dense,
     build_partition,
@@ -85,6 +86,27 @@ def test_partition_uncovered_region_raises():
         build_partition(ps, 0.1, 0.4, shape=64)
 
 
+def _tiling_reference(ps, c_lo, c_hi, shape):
+    """The loop tiling_check ran before its candidate search: the membership
+    test of every translate on every node."""
+    model = ps.model
+    c_lo = np.asarray(c_lo, dtype=float)
+    c_hi = np.asarray(c_hi, dtype=float)
+    grid = Grid.regular(model, ps.lo, ps.hi, shape)
+    x = grid.points().reshape(-1, model.dim)
+    counts = np.zeros(len(x), dtype=np.int64)
+    for g in model.inv(ps.points):
+        q = model.to_internal(model.mul(g[None, :], x))
+        counts += np.all((q >= c_lo - 1e-9) & (q < c_hi - 1e-9), axis=1)
+    passed = bool(np.all(counts == 1))
+    return Certificate(
+        "quasi-lattice", float(np.max(c_hi - c_lo)), passed,
+        witness=None if passed else x[int(np.argmax(counts != 1))],
+        n_checked=len(x),
+        detail={"min_count": int(counts.min()), "max_count": int(counts.max())},
+    )
+
+
 @pytest.mark.parametrize(
     "model,base,ells",
     [
@@ -100,6 +122,17 @@ def test_quasilattice_exact_tiling(model, base, ells):
     assert cert.passed
     assert cert.detail["min_count"] == 1
     assert cert.detail["max_count"] == 1
+    # the same certificate as every translate tested on every node, for the
+    # tiling, for C shrunk so that nodes fall in gaps and for C widened along
+    # its first axis so that neighbouring translates overlap
+    wide = np.where(np.arange(model.dim) == 0, 1.3, 1.0)
+    for scale, key, count in ((1.0, "max_count", 1), (0.8, "min_count", 0), (wide, "max_count", 2)):
+        ref = _tiling_reference(ps, c_lo, scale * c_hi, 33)
+        got = tiling_check(ps, c_lo, scale * c_hi, shape=33)
+        assert ref.detail[key] == count
+        assert (got.kind, got.radius, got.passed, got.n_checked, got.detail) == (
+            ref.kind, ref.radius, ref.passed, ref.n_checked, ref.detail)
+        assert np.array_equal(got.witness, ref.witness)
 
 
 def test_quasilattice_heisenberg_narrow_center_raises():
