@@ -83,6 +83,10 @@ _SCALAR_KEYS = {
     "seed": int,
     "outdir": str,
 }
+# the tolerance overrides: the names the experiments read with cfg.tol
+_TOLERANCE_KEYS = ("tol_angle", "tol_bound", "tol_bounds", "tol_collapse", "tol_comm",
+                   "tol_covariance", "tol_haar", "tol_positive", "tol_recon", "tol_spread",
+                   "tol_violation")
 
 
 class ConfigError(ValueError):
@@ -163,7 +167,7 @@ def _config_from_dict(raw):
                 kwargs[key] = _SCALAR_KEYS[key](value)
             except ValueError:
                 raise ConfigError(f"bad value for {key}: {value!r}") from None
-        elif key.startswith("tol_"):
+        elif key in _TOLERANCE_KEYS:
             try:
                 tols[key] = float(value)
             except ValueError:
@@ -348,8 +352,7 @@ def _exp_shannon(cfg, cache_dir):
         u = 0.2 + 0.15 * crng.random()
         w = u * (0.25 + 0.15 * crng.random())
         ps = _jittered_gamma_r(model, 2000 + cfg.seed + k, u, w)
-        cs = verify_separated(ps, w)
-        cd = verify_dense(ps, u, shape=1024)
+        # the verdict certifies ps first and fails when a certificate does
         rep = theorem35_verdict(ekernel, ps, w, u, seed=cfg.seed + k, verify_shape=1024)
         rows.append(
             {"r": u, "a": rep.get("a_emp", float("nan")), "b": rep.get("b_emp", float("nan")),
@@ -357,7 +360,7 @@ def _exp_shannon(cfg, cache_dir):
         )
         if rep["verdict"] == "hypothesis-not-met":
             n_hyp += 1
-        elif rep["verdict"] != "pass" or not (cs.passed and cd.passed):
+        elif rep["verdict"] != "pass":
             env_ok = False
     checks.append(
         _check("envelope-ten-configs", env_ok and n_hyp == 0, n_configs=10, n_hypothesis_not_met=n_hyp)
@@ -775,8 +778,10 @@ def run_sweep(cfg, param, values):
         raise ConfigError(
             f"{cfg.experiment} does not read {param!r}; its sweep parameters are {', '.join(params)}"
         )
-    start = _start()
     vals = [float(v) for v in values]
+    if param == "grid" and not all(v.is_integer() for v in vals):
+        raise ConfigError(f"grid values are nodes per axis and must be whole numbers, got {vals}")
+    start = _start()
     rows = []
     for v in vals:
         sub = dataclasses.replace(cfg)

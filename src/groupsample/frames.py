@@ -366,10 +366,7 @@ def wavelet_frame_bounds(system, pointset: PointSet, probes) -> FrameBounds:
     vals, vecs = np.linalg.eigh(G)
     keep = vals > 1e-10 * vals.max()
     A = vecs[:, keep] / np.sqrt(vals[keep])  # columns: orthonormal combos
-    T = np.empty((len(pointset), P.shape[0]), dtype=np.complex128)
-    for k, p in enumerate(probes):
-        T[:, k] = system.transform_eta_direct(p, pointset.points)
-    T = T @ A
+    T = system.transform_eta_direct(probes, pointset.points) @ A
     M = T.conj().T @ T
     M = 0.5 * (M + M.conj().T)
     evs = np.linalg.eigvalsh(M)

@@ -303,10 +303,6 @@ class AffineModel(GroupModel):
         u = self.to_internal(g)
         return np.maximum(np.abs(u[..., 0]), np.abs(u[..., 1]))
 
-    def random_points(self, n, scale=1.0, rng=None):
-        rng = np.random.default_rng(rng)
-        return self.from_internal(rng.normal(scale=scale, size=(n, 2)))
-
     def ball_box(self, p, r):
         # p (a_z, b_z) = (a_p a_z, b_p + a_p b_z)
         u = self.to_internal(p)
@@ -335,9 +331,6 @@ class HeisenbergModel(GroupModel):
     kind = "heis1"
     dim = 3
     weights = (1, 1, 2)
-
-    def model_id(self):
-        return "heis1"
 
     def mul(self, g, h):
         g = _as_points(g, 3)

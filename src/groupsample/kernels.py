@@ -13,7 +13,7 @@ kernel builds at most once.  The frame layer consumes only this interface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "cosine_taper_bump",
     "WaveletSystem",
     "mollified_vector",
-    "box_offsets",
     "oscillation_l1_box",
 ]
 
@@ -160,34 +159,50 @@ def mexican_hat(grid: Grid) -> GridFunction:
     return psi * (1.0 / math.sqrt(admissibility_constant(psi)))
 
 
-def wavelet_transform(phi: GridFunction, psi: GridFunction, affine_grid: Grid) -> GridFunction:
-    """V_psi phi (a, b) = <phi, pi(a,b) psi> on the affine grid.
+def wavelet_transform(phis, psi: GridFunction, affine_grid: Grid) -> list:
+    """V_psi phi (a, b) = <phi, pi(a,b) psi> on the affine grid, one
+    GridFunction per signal of ``phis``, which share one line grid.
 
     pi(a,b)psi(s) = a^{-1/2} psi((s-b)/a).  The scale axis of the grid is
-    logarithmic (internal coordinate u = ln a).  Raises when the grid misses
-    more than 5% of the signal energy (isometry defect), which signals that
-    the scale/shift window does not cover phi's content.
+    logarithmic (internal coordinate u = ln a); each scale's template of psi
+    is built once for all the signals.  Raises when the grid misses more
+    than 5% of a signal's energy (isometry defect), which signals that the
+    scale/shift window does not cover its content.
     """
     if not isinstance(affine_grid.model, AffineModel):
         raise ValueError("target grid must be affine")
-    s = phi.grid.axis(0)
-    hs = float(phi.grid.spacings[0])
+    line = _shared_grid(phis)
+    s = line.axis(0)
+    hs = float(line.spacings[0])
     us = affine_grid.axis(0)
     bs = affine_grid.axis(1)
-    out = np.empty(affine_grid.shape, dtype=np.complex128)
+    outs = [np.empty(affine_grid.shape, dtype=np.complex128) for _ in phis]
     for i, u in enumerate(us):
         a = math.exp(u)
         arg = (s[:, None] - bs[None, :]) / a  # (ns, nb)
         tpl = interpolate(psi.values, psi.grid, arg.reshape(-1, 1)).reshape(arg.shape)
-        out[i] = hs * (phi.values[None, :] @ np.conj(tpl))[0] / math.sqrt(a)
-    W = GridFunction(affine_grid, out)
-    defect = abs(W.norm_l2() - phi.norm_l2()) / phi.norm_l2()
-    if defect > 0.05:
-        raise ValueError(
-            f"affine grid misses the scale content of the signal "
-            f"(isometry defect {defect:.3f} > 0.05)"
-        )
-    return W
+        ctpl = np.conj(tpl)
+        # one single-row product per signal: a merged product rounds differently
+        for phi, out in zip(phis, outs):
+            out[i] = hs * (phi.values[None, :] @ ctpl)[0] / math.sqrt(a)
+    Ws = [GridFunction(affine_grid, out) for out in outs]
+    for phi, W in zip(phis, Ws):
+        defect = abs(W.norm_l2() - phi.norm_l2()) / phi.norm_l2()
+        if defect > 0.05:
+            raise ValueError(
+                f"affine grid misses the scale content of the signal "
+                f"(isometry defect {defect:.3f} > 0.05)"
+            )
+    return Ws
+
+
+def _shared_grid(fs) -> Grid:
+    """The one grid of the functions ``fs``; raises when they have several."""
+    if not len(fs):
+        raise ValueError("no functions given")
+    if any(f.grid != fs[0].grid for f in fs[1:]):
+        raise ValueError("shared grid required")
+    return fs[0].grid
 
 
 def cosine_taper_bump(affine_grid: Grid) -> GridFunction:
@@ -200,23 +215,15 @@ def cosine_taper_bump(affine_grid: Grid) -> GridFunction:
     return GridFunction.from_callable(affine_grid, fn, chart=False)
 
 
-def box_offsets(model, half_widths):
-    """Offset sample of a coordinate box around the identity (internal coords),
-    5 per axis including the box corners; used as the set U for models
-    without a homogeneous norm."""
-    half = np.asarray(half_widths, dtype=float)
-    axes = [np.linspace(-w, w, 5) for w in half]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    u = np.stack(mesh, axis=-1).reshape(-1, model.dim)
-    u = u[np.any(u != 0, axis=1)]
-    return model.from_internal(u)
-
-
 def oscillation_l1_box(f: GridFunction, half_widths) -> float:
-    """||osc_U f||_1 with U the internal-coordinate box; Haar-weighted L1."""
+    """||osc_U f||_1 with U the internal-coordinate box, sampled 5 per axis
+    including the box corners (the set U for models without a homogeneous
+    norm); Haar-weighted L1."""
     from .analysis import oscillation
 
-    offs = box_offsets(f.grid.model, half_widths)
+    axes = [np.linspace(-w, w, 5) for w in np.asarray(half_widths, dtype=float)]
+    u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.grid.dim)
+    offs = f.grid.model.from_internal(u[np.any(u != 0, axis=1)])
     # the radius argument only sizes the default ball sample; explicit
     # offsets bypass it
     (osc,) = oscillation([f], r=1.0, offsets=offs)
@@ -229,61 +236,49 @@ class WaveletSystem:
     convolution identity V_eta phi = V_psi phi * h^*."""
 
     psi: GridFunction
-    affine_grid: Grid
     h: GridFunction
     c_factor: float  # ||V_psi phi|| / ||V_eta phi|| over the probe family (max)
-    _eta: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def eta_on_line(self, s_grid: Grid) -> GridFunction:
-        """The analyzing vector eta = V_psi^* h realized on the line.
+    def transform_eta_direct(self, phis, points_chart) -> np.ndarray:
+        """V_eta phi(gamma) = <phi, pi(gamma) eta> by direct line quadrature,
+        shape (n_points, n_phis), for signals ``phis`` on one line grid.
 
-        With unit-admissible psi the transform is an isometry, so the adjoint
-        inverts it on its range and eta(s) = int h(a,b) pi(a,b)psi(s) dmu(a,b).
-        Evaluating <phi, pi(gamma) eta> with this vector reproduces
-        V_psi phi * h^* without touching the affine grid's interpolation.
-        """
-        key = s_grid.content_hash()
-        if self._eta is not None and self._eta[0] == key:
-            return self._eta[1]
+        eta = V_psi^* h is realized on the line, once per call: with
+        unit-admissible psi the transform is an isometry, so the adjoint
+        inverts it on its range and eta(s) = int h(a,b) pi(a,b)psi(s)
+        dmu(a,b).  Evaluating <phi, pi(gamma) eta> with this vector
+        reproduces V_psi phi * h^* without touching the affine grid's
+        interpolation.  Points are grouped by scale; each block of a scale
+        builds its arguments once and is one vectorized correlation per
+        signal."""
+        line = _shared_grid(phis)
+        lo, hi = line.lo[0], line.hi[0]
+        n_eta = max(8192, line.shape[0])
+        s_grid = Grid.regular(line.model, [1.5 * lo], [1.5 * hi], (n_eta,))
+        tau_full = s_grid.axis(0)
         hg = self.h.grid
         w = hg.weights().reshape(-1)
         hv = self.h.values.reshape(-1)
         supp = np.nonzero(np.abs(hv) > 1e-14)[0]
         zs = hg.points().reshape(-1, 2)[supp]
-        coef = w[supp] * hv[supp]
-        s = s_grid.axis(0)
-        vals = np.zeros(len(s), dtype=np.complex128)
-        for (a, b), c in zip(zs, coef):
-            vals += c * interpolate(self.psi.values, self.psi.grid, ((s - b) / a)[:, None]) / math.sqrt(a)
-        eta = GridFunction(s_grid, vals.reshape(s_grid.shape))
-        self._eta = (key, eta)
-        return eta
-
-    def transform_eta_direct(self, phi: GridFunction, points_chart) -> np.ndarray:
-        """V_eta phi(gamma) = <phi, pi(gamma) eta> by direct line quadrature.
-
-        Points are grouped by scale; each scale is one vectorized
-        correlation.  Free of affine-grid interpolation error."""
-        lo, hi = phi.grid.lo[0], phi.grid.hi[0]
-        n_eta = max(8192, phi.grid.shape[0])
-        s_grid = Grid.regular(phi.grid.model, [1.5 * lo], [1.5 * hi], (n_eta,))
-        eta = self.eta_on_line(s_grid)
-        tau_full = s_grid.axis(0)
+        ev = np.zeros(n_eta, dtype=np.complex128)
+        for (a, b), c in zip(zs, w[supp] * hv[supp]):
+            tpl = interpolate(self.psi.values, self.psi.grid, ((tau_full - b) / a)[:, None])
+            ev += c * tpl / math.sqrt(a)
         htau = float(s_grid.spacings[0])
-        ev = eta.values
         # substitution s = a tau + b keeps the quadrature step fine relative
         # to eta's features at every scale; the s-form loses small-a rows
         keep = np.abs(ev) > 1e-13 * np.abs(ev).max()
         i0, i1 = np.nonzero(keep)[0][[0, -1]]
         tau = tau_full[i0 : i1 + 1]
         ec = np.conj(ev[i0 : i1 + 1]) * htau
-        s_ax = phi.grid.axis(0)
-        pv_re = phi.values.real
-        pv_im = phi.values.imag
-        phi_cplx = np.any(pv_im != 0)
+        s_ax = line.axis(0)
+        # real and imaginary parts; None for a real signal
+        parts = [(phi.values.real, phi.values.imag if np.any(phi.values.imag != 0) else None)
+                 for phi in phis]
         s_lo, s_hi = float(s_ax[0]), float(s_ax[-1])
         pts = np.asarray(points_chart, dtype=float).reshape(-1, 2)
-        out = np.zeros(len(pts), dtype=np.complex128)
+        out = np.zeros((len(pts), len(phis)), dtype=np.complex128)
         order = np.argsort(pts[:, 0])
         sorted_a = pts[order, 0]
         starts = np.searchsorted(sorted_a, np.unique(sorted_a))
@@ -302,12 +297,12 @@ class WaveletSystem:
             for j0 in range(0, len(sel), blk):
                 bj = bs[j0 : j0 + blk]
                 arg = a * tau[:, None] + bj[None, :]  # (n_tau, n_b)
-                fre = np.interp(arg.ravel(), s_ax, pv_re, left=0.0, right=0.0)
-                if phi_cplx:
-                    fv = fre + 1j * np.interp(arg.ravel(), s_ax, pv_im, left=0.0, right=0.0)
-                else:
-                    fv = fre
-                out[sel[j0 : j0 + blk]] = math.sqrt(a) * (ec @ fv.reshape(arg.shape))
+                flat = arg.ravel()
+                for k, (re, im) in enumerate(parts):
+                    fv = np.interp(flat, s_ax, re, left=0.0, right=0.0)
+                    if im is not None:
+                        fv = fv + 1j * np.interp(flat, s_ax, im, left=0.0, right=0.0)
+                    out[sel[j0 : j0 + blk], k] = math.sqrt(a) * (ec @ fv.reshape(arg.shape))
         return out
 
     def h_star(self) -> GridFunction:
@@ -339,9 +334,14 @@ class WaveletSystem:
         return {"rows": rows, "u_star": found, "c_factor": self.c_factor}
 
 
-def _conv_hstar_at(F: GridFunction, h: GridFunction, points_chart):
+def _conv_hstar_at(Fs, h: GridFunction, points_chart) -> np.ndarray:
+    """(F * h^*)(x) = int F(x z) conj(h(z)) dmu(z) at chart points x, shape
+    (n_Fs, n_points), for functions ``Fs`` on one affine grid; one
+    interpolation per chunk of points for all of them."""
     chunk = 64
-    model = F.grid.model
+    grid = _shared_grid(Fs)
+    model = grid.model
+    values = np.stack([F.values for F in Fs])
     hg = h.grid
     w = hg.weights().reshape(-1)
     hv = h.values.reshape(-1)
@@ -349,12 +349,13 @@ def _conv_hstar_at(F: GridFunction, h: GridFunction, points_chart):
     z = hg.points().reshape(-1, 2)[supp]
     coef = (w[supp] * np.conj(hv[supp]))[None, :]
     pts = np.asarray(points_chart, dtype=float).reshape(-1, 2)
-    out = np.empty(len(pts), dtype=np.complex128)
+    out = np.empty((len(Fs), len(pts)), dtype=np.complex128)
     for s in range(0, len(pts), chunk):
         blk = pts[s : s + chunk]
-        y = model.mul(blk[:, None, :], z[None, :, :])
-        Fv = F.at(y.reshape(-1, 2)).reshape(len(blk), -1)
-        out[s : s + chunk] = np.sum(coef * Fv, axis=1)
+        y = model.to_internal(model.mul(blk[:, None, :], z[None, :, :]).reshape(-1, 2))
+        Fv = interpolate(values, grid, y).reshape(len(Fs), len(blk), -1)
+        for k in range(len(Fs)):
+            out[k, s : s + chunk] = np.sum(coef * Fv[k], axis=1)
     return out
 
 
@@ -366,14 +367,9 @@ def mollified_vector(psi: GridFunction, affine_grid: Grid, h: GridFunction) -> W
     1e-10).
     """
     probes = mexican_hats(psi.grid, [(0.0, 1.0), (0.7, 1.3), (-1.1, 0.8)])
-    nodes = affine_grid.points().reshape(-1, 2)
-    c_best = 0.0
-    for phi in probes:
-        W = wavelet_transform(phi, psi, affine_grid)
-        eta_vals = _conv_hstar_at(W, h, nodes)
-        eta_f = GridFunction(affine_grid, eta_vals.reshape(affine_grid.shape))
-        n_eta = eta_f.norm_l2()
-        if n_eta < 1e-10:
-            raise ValueError("mollifier projects to zero on the transform range")
-        c_best = max(c_best, W.norm_l2() / n_eta)
-    return WaveletSystem(psi=psi, affine_grid=affine_grid, h=h, c_factor=c_best)
+    Ws = wavelet_transform(probes, psi, affine_grid)
+    etas = _conv_hstar_at(Ws, h, affine_grid.points().reshape(-1, 2))
+    n_eta = [GridFunction(affine_grid, e.reshape(affine_grid.shape)).norm_l2() for e in etas]
+    if min(n_eta) < 1e-10:
+        raise ValueError("mollifier projects to zero on the transform range")
+    return WaveletSystem(psi=psi, h=h, c_factor=max(W.norm_l2() / n for W, n in zip(Ws, n_eta)))

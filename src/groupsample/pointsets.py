@@ -253,7 +253,6 @@ class Partition:
     pointset: PointSet
     grid: Grid
     assignment: np.ndarray  # int index into pointset.points, shape = grid.shape
-    order: np.ndarray  # enumeration order used by the recursion
     w_radius: float
     u_radius: float
     #: the pairs (i, j, d) of grid nodes and points with
@@ -314,9 +313,7 @@ def build_partition(ps: PointSet, w_radius, u_radius, shape=64) -> Partition:
         raise ValueError(
             f"region not covered by U-balls (density precondition violated near {bad})"
         )
-    return Partition(
-        ps, grid, assignment.reshape(grid.shape), order, w_radius, u_radius, near_pairs
-    )
+    return Partition(ps, grid, assignment.reshape(grid.shape), w_radius, u_radius, near_pairs)
 
 
 # ---------------------------------------------------------------------------

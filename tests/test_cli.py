@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -179,6 +180,38 @@ def test_sweep_rejects_parameter_not_read(tmp_path, experiment, param):
     assert not out.exists()
 
 
+def test_sweep_rejects_non_integer_grid_before_any_row(tmp_path, monkeypatch):
+    # a grid value is a node count: 9.5 must not run as 9 labelled 9.5
+    params, _, trends = cli._SWEEPS["shannon"]
+    calls = []
+    monkeypatch.setitem(cli._SWEEPS, "shannon", (params, lambda c, d: calls.append(c) or {}, trends))
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = shannon\noutdir = {out}\n")
+    assert main(["sweep", path, "--param", "grid", "--values", "17", "9.5"]) == 2
+    assert calls == []
+    assert not out.exists()
+
+
+def test_misspelt_tolerance_exit_code(tmp_path):
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = shannon\ntol_bouns = 5\noutdir = {out}\n")
+    assert main(["run", path]) == 2
+    assert not out.exists()
+
+
+def test_tolerance_keys_are_the_names_the_experiments_read():
+    import ast
+
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    read = [
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "tol"
+    ]
+    assert sorted(cli._TOLERANCE_KEYS) == sorted(set(read))
+
+
 def test_line_experiments_match_reference(tmp_path):
     # the 7 line-workload experiments at seed 0, and the H1 oscillation
     # experiment of the h1-sampling workload (it reads no cache), through
@@ -311,9 +344,28 @@ def test_layer_exports_match_definitions():
         mod = importlib.import_module(f"groupsample.{layer}")
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], layer
         assert [n for n in imported.get(layer, ()) if n not in mod.__all__] == [], layer
+    # every exported name is re-exported by the package or named elsewhere:
+    # in another module, a test or a benchmark file
+    pkg = os.path.dirname(groupsample.__file__)
+
+    def words(folder, skip=()):
+        found = set()
+        for name in os.listdir(folder):
+            if name.endswith(".py") and name not in skip:
+                with open(os.path.join(folder, name)) as fh:
+                    found |= set(re.findall(r"\w+", fh.read()))
+        return found
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    outside = words(here) | words(os.path.join(here, "..", "perfbench"))
+    unused = []
+    for layer in layers:
+        mod = importlib.import_module(f"groupsample.{layer}")
+        named = outside | words(pkg, skip=(f"{layer}.py", "__init__.py"))
+        unused += [f"{layer}.{n}" for n in mod.__all__ if n not in imported.get(layer, ()) and n not in named]
+    assert unused == []
     # one module owns each private name: none imports an underscore name
     # from another
-    pkg = os.path.dirname(groupsample.__file__)
     private = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):

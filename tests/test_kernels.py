@@ -1,19 +1,22 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from groupsample import EuclideanModel, AffineModel, Grid, GridFunction
+from groupsample import EuclideanModel, AffineModel, Grid, GridFunction, interpolate
 from groupsample.kernels import (
     BasisKernel,
     SincKernel,
     SpectralProjector,
     admissibility_constant,
     mexican_hat,
+    mexican_hats,
     wavelet_transform,
     cosine_taper_bump,
     oscillation_l1_box,
     mollified_vector,
+    WaveletSystem,
     _conv_hstar_at,
 )
 
@@ -84,7 +87,7 @@ def test_admissibility_oracle(line_grid):
 def test_wavelet_transform_isometry(line_grid, affine_grid):
     psi = mexican_hat(line_grid)
     phi = GridFunction.from_callable(line_grid, lambda s: (1 - s**2) * np.exp(-(s**2) / 2))
-    W = wavelet_transform(phi, psi, affine_grid)
+    (W,) = wavelet_transform([phi], psi, affine_grid)
     assert W.norm_l2() == pytest.approx(phi.norm_l2(), rel=2e-2)
 
 
@@ -93,7 +96,7 @@ def test_wavelet_transform_detects_leakage(line_grid):
     psi = mexican_hat(line_grid)
     phi = GridFunction.from_callable(line_grid, lambda s: np.exp(-(s**2) / 2))
     with pytest.raises(ValueError):
-        wavelet_transform(phi, psi, tiny)
+        wavelet_transform([phi], psi, tiny)
 
 
 def test_cosine_taper_support(affine_grid):
@@ -131,11 +134,178 @@ def test_transform_eta_two_paths_agree(wavelet_system, line_grid, affine_grid):
         line_grid, lambda s: (1 - (s / 1.2) ** 2) * np.exp(-(s**2) / (2 * 1.44))
     )
     pts = np.array([[1.0, 0.0], [math.e, 0.5], [0.5, -1.0], [1.5, 2.0]])
-    W = wavelet_transform(phi, wavelet_system.psi, affine_grid)
-    conv_path = _conv_hstar_at(W, wavelet_system.h, pts)
-    direct_path = wavelet_system.transform_eta_direct(phi, pts)
+    (W,) = wavelet_transform([phi], wavelet_system.psi, affine_grid)
+    (conv_path,) = _conv_hstar_at([W], wavelet_system.h, pts)
+    (direct_path,) = wavelet_system.transform_eta_direct([phi], pts).T
     scale = np.abs(direct_path).max()
     assert np.allclose(conv_path, direct_path, atol=5e-2 * scale)
+
+
+# references: the per-signal loops the wavelet layer ran before it took a
+# batch of signals, copied as they were; the batched calls must keep each
+# signal's bytes
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _wavelet_transform_reference(phi, psi, affine_grid):
+    s = phi.grid.axis(0)
+    hs = float(phi.grid.spacings[0])
+    us = affine_grid.axis(0)
+    bs = affine_grid.axis(1)
+    out = np.empty(affine_grid.shape, dtype=np.complex128)
+    for i, u in enumerate(us):
+        a = math.exp(u)
+        arg = (s[:, None] - bs[None, :]) / a  # (ns, nb)
+        tpl = interpolate(psi.values, psi.grid, arg.reshape(-1, 1)).reshape(arg.shape)
+        out[i] = hs * (phi.values[None, :] @ np.conj(tpl))[0] / math.sqrt(a)
+    return out
+
+
+def _conv_hstar_at_reference(F, h, points_chart):
+    chunk = 64
+    model = F.grid.model
+    hg = h.grid
+    w = hg.weights().reshape(-1)
+    hv = h.values.reshape(-1)
+    supp = np.nonzero(np.abs(hv) > 1e-14)[0]
+    z = hg.points().reshape(-1, 2)[supp]
+    coef = (w[supp] * np.conj(hv[supp]))[None, :]
+    pts = np.asarray(points_chart, dtype=float).reshape(-1, 2)
+    out = np.empty(len(pts), dtype=np.complex128)
+    for s in range(0, len(pts), chunk):
+        blk = pts[s : s + chunk]
+        y = model.mul(blk[:, None, :], z[None, :, :])
+        Fv = F.at(y.reshape(-1, 2)).reshape(len(blk), -1)
+        out[s : s + chunk] = np.sum(coef * Fv, axis=1)
+    return out
+
+
+def _transform_eta_direct_reference(psi, h, phi, points_chart):
+    lo, hi = phi.grid.lo[0], phi.grid.hi[0]
+    n_eta = max(8192, phi.grid.shape[0])
+    s_grid = Grid.regular(phi.grid.model, [1.5 * lo], [1.5 * hi], (n_eta,))
+    # eta on the line, as the memoized eta_on_line built it
+    hg = h.grid
+    w = hg.weights().reshape(-1)
+    hv = h.values.reshape(-1)
+    supp = np.nonzero(np.abs(hv) > 1e-14)[0]
+    zs = hg.points().reshape(-1, 2)[supp]
+    coef = w[supp] * hv[supp]
+    s = s_grid.axis(0)
+    vals = np.zeros(len(s), dtype=np.complex128)
+    for (a, b), c in zip(zs, coef):
+        vals += c * interpolate(psi.values, psi.grid, ((s - b) / a)[:, None]) / math.sqrt(a)
+    ev = GridFunction(s_grid, vals.reshape(s_grid.shape)).values
+    tau_full = s_grid.axis(0)
+    htau = float(s_grid.spacings[0])
+    keep = np.abs(ev) > 1e-13 * np.abs(ev).max()
+    i0, i1 = np.nonzero(keep)[0][[0, -1]]
+    tau = tau_full[i0 : i1 + 1]
+    ec = np.conj(ev[i0 : i1 + 1]) * htau
+    s_ax = phi.grid.axis(0)
+    pv_re = phi.values.real
+    pv_im = phi.values.imag
+    phi_cplx = np.any(pv_im != 0)
+    s_lo, s_hi = float(s_ax[0]), float(s_ax[-1])
+    pts = np.asarray(points_chart, dtype=float).reshape(-1, 2)
+    out = np.zeros(len(pts), dtype=np.complex128)
+    order = np.argsort(pts[:, 0])
+    sorted_a = pts[order, 0]
+    starts = np.searchsorted(sorted_a, np.unique(sorted_a))
+    starts = np.append(starts, len(pts))
+    for si in range(len(starts) - 1):
+        sel = order[starts[si] : starts[si + 1]]
+        a = pts[sel[0], 0]
+        bs = pts[sel, 1]
+        live = (bs > s_lo - a * tau[-1] - 1.0) & (bs < s_hi - a * tau[0] + 1.0)
+        if not np.any(live):
+            continue
+        sel = sel[live]
+        bs = bs[live]
+        blk = max(1, int(4e6 / len(tau)))
+        for j0 in range(0, len(sel), blk):
+            bj = bs[j0 : j0 + blk]
+            arg = a * tau[:, None] + bj[None, :]  # (n_tau, n_b)
+            fre = np.interp(arg.ravel(), s_ax, pv_re, left=0.0, right=0.0)
+            if phi_cplx:
+                fv = fre + 1j * np.interp(arg.ravel(), s_ax, pv_im, left=0.0, right=0.0)
+            else:
+                fv = fre
+            out[sel[j0 : j0 + blk]] = math.sqrt(a) * (ec @ fv.reshape(arg.shape))
+    return out
+
+
+@pytest.fixture(scope="module")
+def signal_batch(line_grid):
+    # two real hats and a modulated, complex one
+    hats = mexican_hats(line_grid, [(0.0, 1.0), (0.7, 1.3), (-1.1, 0.8)])
+    (s,) = np.moveaxis(line_grid.points(), -1, 0)
+    hats[1] = GridFunction(line_grid, hats[1].values * np.exp(0.9j * s))
+    assert np.any(hats[1].values.imag != 0)
+    return hats
+
+
+@pytest.fixture(scope="module")
+def small_affine_grid():
+    return Grid.regular(AffineModel(), [-3.0, -16.0], [3.0, 16.0], (33, 146))
+
+
+def test_wavelet_transform_batch_matches_per_signal_loop_bytes(line_grid, small_affine_grid, signal_batch):
+    psi = mexican_hat(line_grid)
+    refs = [_digest(_wavelet_transform_reference(phi, psi, small_affine_grid)) for phi in signal_batch]
+    Ws = wavelet_transform(signal_batch, psi, small_affine_grid)
+    assert [_digest(W.values) for W in Ws] == refs
+    (W,) = wavelet_transform(signal_batch[1:2], psi, small_affine_grid)
+    assert _digest(W.values) == refs[1]
+
+
+def test_conv_hstar_at_batch_matches_per_function_loop_bytes(line_grid, small_affine_grid, signal_batch):
+    Ws = wavelet_transform(signal_batch, mexican_hat(line_grid), small_affine_grid)
+    h = cosine_taper_bump(small_affine_grid)
+    rng = np.random.default_rng(4)
+    # 150 points: two full chunks of 64 and a partial one
+    pts = np.stack([np.exp(rng.uniform(-2.0, 2.0, 150)), rng.uniform(-10.0, 10.0, 150)], axis=1)
+    refs = [_digest(_conv_hstar_at_reference(W, h, pts)) for W in Ws]
+    out = _conv_hstar_at(Ws, h, pts)
+    assert out.shape == (3, 150)
+    assert [_digest(row) for row in out] == refs
+    (row,) = _conv_hstar_at(Ws[1:2], h, pts)
+    assert _digest(row) == refs[1]
+
+
+def test_transform_eta_direct_batch_matches_per_signal_loop_bytes(line_grid, affine_grid, signal_batch):
+    psi = mexican_hat(line_grid)
+    h = cosine_taper_bump(affine_grid)
+    system = WaveletSystem(psi=psi, h=h, c_factor=1.0)
+    # several scales, one of them with more shifts than one block holds,
+    # and shifts far off the signals' support
+    b_wide = np.linspace(-30.0, 30.0, 1500)
+    pts = np.concatenate([
+        np.stack([np.ones_like(b_wide), b_wide], axis=1),
+        [[0.3, 0.0], [0.3, 2.5], [2.0, -1.0], [math.e, 0.5], [4.0, 300.0], [0.05, -80.0]],
+    ])
+    refs = [_digest(_transform_eta_direct_reference(psi, h, phi, pts)) for phi in signal_batch]
+    out = system.transform_eta_direct(signal_batch, pts)
+    assert out.shape == (len(pts), 3)
+    assert [_digest(col) for col in out.T] == refs
+    one = system.transform_eta_direct(signal_batch[1:2], pts)
+    assert one.shape == (len(pts), 1)
+    assert _digest(one[:, 0]) == refs[1]
+
+
+def test_wavelet_batches_need_one_line_grid(line_grid, affine_grid, signal_batch):
+    other = mexican_hats(Grid.regular(EuclideanModel(1), [-20.0], [20.0], (1024,)), [(0.0, 1.0)])
+    psi = mexican_hat(line_grid)
+    system = WaveletSystem(psi=psi, h=cosine_taper_bump(affine_grid), c_factor=1.0)
+    for call in (lambda fs: wavelet_transform(fs, psi, affine_grid),
+                 lambda fs: system.transform_eta_direct(fs, [[1.0, 0.0]])):
+        with pytest.raises(ValueError, match="shared grid required"):
+            call(signal_batch + other)
+        with pytest.raises(ValueError, match="no functions given"):
+            call([])
 
 
 def test_spectral_projector_holds_band_elements(h1_proj):
