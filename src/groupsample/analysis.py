@@ -502,8 +502,9 @@ def estimate_constants(
     the smallest scanned dilation with no observed violation, and the
     Bernstein norms are maxima over the retained eigenbasis.  When every
     scanned dilation shows a violation, the last one is used and
-    ``b_verified`` is False.  Each derivative X^alpha f is computed once and
-    serves all three estimates.
+    ``b_verified`` is False.  Raises ``ValueError`` when the ball B_b of the
+    chosen b holds no grid node.  Each derivative X^alpha f is computed once
+    and serves all three estimates.
     """
     grid = proj_e1.grid
     model = grid.model
@@ -527,51 +528,41 @@ def estimate_constants(
     rng = np.random.default_rng(1)
     mid = 0.5 * (grid.lo + grid.hi)
     span = grid.hi - grid.lo
-    xs_int = mid + rng.uniform(-0.2, 0.2, size=(24, n)) * span
-    xs = model.from_internal(xs_int)
+    xs = model.from_internal(mid + rng.uniform(-0.2, 0.2, size=(24, n)) * span)[:, None, :]
     rmax = 0.2 * float(np.min(span[:nfirst]))
-    ys = model.dilate(1.0, model.sphere(16))
+    ys = model.sphere(16)
     radii = rng.uniform(0.2, 1.0, size=4) * rmax
 
-    b_est = b_scan[-1]
-    b_verified = False
-    for b_try in b_scan:
-        ok = True
+    def holds(b):
+        """Whether every sampled |f(x y) - f(x)| is at most
+        |y| max_j sup |X_j f(x z)| + 1e-12, the sup over 25 points z with
+        |z| <= b |y| (12 sphere directions at b |y| and at b |y| / 2, and 0)."""
         for k in family:
-            f = funcs[k]
-            fx = f.at(xs)
+            fx = funcs[k].at(xs)
             for rad in radii:
-                yr = model.dilate(rad, ys)
-                for y in yr:
-                    xy = model.mul(xs, y)
-                    lhs = np.abs(f.at(xy) - fx)
-                    # sup over sampled ball |z| <= b|y| around each x
-                    zdirs = np.concatenate(
-                        [model.dilate(b_try * rad * fr, model.sphere(12)) for fr in (1.0, 0.5)]
-                        + [np.zeros((1, n))]
-                    )
-                    xz = model.mul(xs[:, None, :], zdirs[None, :, :])
-                    sup = np.zeros(len(xs))
-                    for g in grads[k]:
-                        gv = np.abs(g.at(xz))
-                        np.maximum(sup, gv.max(axis=1), out=sup)
-                    if np.any(lhs > rad * sup + 1e-12):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            b_est = b_try
-            b_verified = True
-            break
+                zs = np.concatenate(
+                    [model.dilate(b * rad * fr, model.sphere(12)) for fr in (1.0, 0.5)]
+                    + [np.zeros((1, n))]
+                )
+                xz = model.mul(xs, zs)
+                sup = np.max([np.abs(g.at(xz)).max(axis=1) for g in grads[k]], axis=0)
+                lhs = np.abs(funcs[k].at(model.mul(xs, model.dilate(rad, ys))) - fx)
+                if np.any(lhs > rad * sup[:, None] + 1e-12):
+                    return False
+        return True
+
+    b_est, b_verified = next(((b, True) for b in b_scan if holds(b)), (b_scan[-1], False))
 
     # --- local Sobolev constant for (K, U) = (B_b, B_2b) over the family and
     # Bernstein norms over the eigenbasis, one function and its tree at a time
     pts = grid.points()
     gnorm = model.norm(pts)
     mask_k = gnorm <= b_est
+    if not mask_k.any():
+        raise ValueError(
+            f"the ball B_b at b = {b_est:g} holds no grid node (the nearest lies at "
+            f"gauge {gnorm.min():.3g}), so C_G would be 0: scan larger b or refine the grid"
+        )
     mask_u = gnorm <= 2.0 * b_est
     alphas_sob = [zero] + _multiindices(n, n)
     alphas = _multiindices(n, n + 1)

@@ -53,6 +53,7 @@ from .analysis import (
 )
 from .kernels import SincKernel, mexican_hat, mexican_hats, cosine_taper_bump, mollified_vector
 from .frames import (
+    FrameBounds,
     FrameSystem,
     theorem35_verdict,
     quasi_interpolate,
@@ -61,17 +62,6 @@ from .frames import (
     beurling_scan,
 )
 
-
-EXPERIMENTS = (
-    "shannon",
-    "beurling-scan",
-    "wavelet-frame",
-    "heisenberg",
-    "partition",
-    "quasilattice",
-    "oscillation",
-    "constants",
-)
 
 _SCALAR_KEYS = {
     "experiment": str,
@@ -106,14 +96,14 @@ class ExperimentConfig:
     tolerances: dict = dataclasses.field(default_factory=dict)
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; choose one of {', '.join(EXPERIMENTS)}"
+                f"unknown experiment {self.experiment!r}; choose one of {', '.join(_RUNNERS)}"
             )
         for name in ("r", "s", "omega"):
             v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ConfigError(f"radius {name} must be positive, got {v}")
+            if v is not None and not 0 < v < math.inf:
+                raise ConfigError(f"radius {name} must be positive and finite, got {v}")
         if self.resolution is not None and self.resolution < 3:
             raise ConfigError("grid resolution must be at least 3")
         if self.model is not None:
@@ -253,13 +243,13 @@ def _random_smooth(grid, seed, spread):
     return GridFunction(grid, vals)
 
 
-def _h1_projector(cfg, cache_dir, half=7.0):
+def _h1_projector(cfg, half=7.0):
     """Band projector at omega (default 1) on the resolution^3 grid (default
     33) over the chart box [-half, half)^3, through the cache."""
     n = cfg.resolution if cfg.resolution is not None else 33
     grid = Grid.regular(HeisenbergModel(), [-half] * 3, [half] * 3, (n,) * 3)
     omega = cfg.omega if cfg.omega is not None else 1.0
-    return sublaplacian_spectrum(grid, omega, cache_dir=cache_dir)
+    return sublaplacian_spectrum(grid, omega, cache_dir=_cache_dir(cfg))
 
 
 def haar_scaling_ratio(model, t=1.3, n=4_000_000, seed=0):
@@ -303,38 +293,26 @@ def _shannon_kernel(n):
     return SincKernel(Grid.regular(EuclideanModel(1), [-64.0], [64.0], (n,)), 0.5)
 
 
-def _exp_shannon(cfg, cache_dir):
+def _exp_shannon(cfg):
     kernel = _shannon_kernel(8192)
     model = kernel.grid.model
     rng = np.random.default_rng(cfg.seed)
 
-    def bounds_at(gap):
-        # the lattice covers the whole box: the modes are periodic, so a
-        # sample-free border would admit a concentrated near-null vector
-        ps = PointSet(model, gap_lattice(-64.0, 64.0, gap)[:, None], [-64.0], [64.0])
-        return FrameSystem(kernel, ps), ps
-
-    checks, rows = [], []
-    sys_c, ps_c = bounds_at(1.0)
-    fb_c = sys_c.estimate_bounds()
-    sys_o, _ = bounds_at(0.5)
-    fb_o = sys_o.estimate_bounds()
-    sys_u, _ = bounds_at(2.0)
-    fb_u = sys_u.estimate_bounds()
-    for gap, fb in (1.0, fb_c), (0.5, fb_o), (2.0, fb_u):
-        rows.append({"r": gap, "a": fb.a, "b": fb.b, "tightness": fb.tightness})
-
+    # critical, over- and undersampled gaps
+    rows = beurling_scan(kernel, (1.0, 0.5, 2.0))
+    fb_c, fb_o, fb_u = (FrameBounds(row["a"], row["b"]) for row in rows)
     tol_b = cfg.tol("tol_bounds", 1e-3)
-    checks.append(
+    checks = [
         _check("shannon-critical-bounds", abs(fb_c.a - 1) <= tol_b and abs(fb_c.b - 1) <= tol_b,
-               a=fb_c.a, b=fb_c.b)
-    )
-    checks.append(
+               a=fb_c.a, b=fb_c.b),
         _check("oversampling-bounds", abs(fb_o.a - 2) <= 5 * tol_b and abs(fb_o.b - 2) <= 5 * tol_b,
-               a=fb_o.a, b=fb_o.b)
-    )
-    checks.append(_check("undersampling-collapse", fb_u.a < cfg.tol("tol_collapse", 1e-3), a=fb_u.a))
+               a=fb_o.a, b=fb_o.b),
+        _check("undersampling-collapse", fb_u.a < cfg.tol("tol_collapse", 1e-3), a=fb_u.a),
+    ]
 
+    # the gap-1 lattice covers the whole box, as in the scan
+    ps_c = PointSet(model, gap_lattice(-64.0, 64.0, 1.0)[:, None], [-64.0], [64.0])
+    sys_c = FrameSystem(kernel, ps_c)
     worst = 0.0
     for _ in range(20):
         c = rng.standard_normal(kernel.dim)
@@ -379,7 +357,7 @@ def _beurling_kernel(cfg):
     return omega, SincKernel(grid, band)
 
 
-def _exp_beurling(cfg, cache_dir):
+def _exp_beurling(cfg):
     omega, kernel = _beurling_kernel(cfg)
     targets = (1.0, 1.4, 2.0, 2.8, 3.5)
     rows = beurling_scan(kernel, [x / math.sqrt(omega) for x in targets])
@@ -396,7 +374,7 @@ def _exp_beurling(cfg, cache_dir):
     return checks, ("r_sqrt_omega", "r", "a", "b", "tightness", "n_points"), table, None
 
 
-def _exp_wavelet(cfg, cache_dir):
+def _exp_wavelet(cfg):
     e1 = EuclideanModel(1)
     am = AffineModel()
     sg = Grid.regular(e1, [-20.0], [20.0], (2048,))
@@ -437,21 +415,22 @@ def _exp_wavelet(cfg, cache_dir):
     return checks, ("sigma", "a", "b", "tightness", "n_points"), rows, pointset
 
 
-def _heisenberg_report(cfg, cache_dir):
+def _heisenberg_report(cfg):
     """``heisenberg_sampling_experiment`` over the cached projector and C_G,
     at x = r sqrt(omega) C_G given by r (default just below 1)."""
     x_target = cfg.r if cfg.r is not None else 1.0 - 5e-6
     if not 0 < x_target < 1:
         raise ConfigError("r plays the role of x = r sqrt(omega) C_G here: need 0 < r < 1")
-    proj = _h1_projector(cfg, cache_dir)
+    proj = _h1_projector(cfg)
+    cache_dir = _cache_dir(cfg)
     c_g, _ = oscillation_constant(proj, cache_dir)
     return heisenberg_sampling_experiment(
         proj, c_g, x_target=x_target, seed=cfg.seed, cache_dir=cache_dir
     )
 
 
-def _exp_heisenberg(cfg, cache_dir):
-    rep = _heisenberg_report(cfg, cache_dir)
+def _exp_heisenberg(cfg):
+    rep = _heisenberg_report(cfg)
     rows = [
         {"k": k, "ratio": ratio, "a_pred": rep["a_pred"]}
         for k, ratio in enumerate(rep["ratios"])
@@ -467,7 +446,7 @@ def _exp_heisenberg(cfg, cache_dir):
     return checks, ("k", "ratio", "a_pred"), rows, None
 
 
-def _partition_r1(cfg, cache_dir, u, w):
+def _partition_r1(cfg, u, w):
     model = EuclideanModel(1)
     kernel = SincKernel(Grid.regular(model, [-32.0], [32.0], (2048,)), 0.5)
 
@@ -481,8 +460,8 @@ def _partition_r1(cfg, cache_dir, u, w):
     return points, funcs, 1024, 2048
 
 
-def _partition_heis1(cfg, cache_dir, u, w):
-    proj = _h1_projector(cfg, cache_dir)
+def _partition_heis1(cfg, u, w):
+    proj = _h1_projector(cfg)
 
     def points(k):
         return _h1_jittered_lattice(proj.grid.model, cfg.seed + 10 * k)
@@ -502,7 +481,7 @@ _PARTITION_MODELS = {
 }
 
 
-def _exp_partition(cfg, cache_dir):
+def _exp_partition(cfg):
     model_id = cfg.model or "r1"
     if model_id not in _PARTITION_MODELS:
         raise ConfigError("partition experiment runs on model r1 or heis1")
@@ -510,7 +489,7 @@ def _exp_partition(cfg, cache_dir):
     u = cfg.r if cfg.r is not None else u
     w = cfg.s if cfg.s is not None else w
     tol = cfg.tol("tol_bound", tol)
-    points, funcs, dense_shape, partition_shape = setup(cfg, cache_dir, u, w)
+    points, funcs, dense_shape, partition_shape = setup(cfg, u, w)
     rows = []
     cert_ok = inv_ok = True
     fs = []
@@ -546,7 +525,7 @@ _QL_DEFAULTS = {
 }
 
 
-def _exp_quasilattice(cfg, cache_dir):
+def _exp_quasilattice(cfg):
     model_id = cfg.model or "rn:2"
     if model_id not in _QL_DEFAULTS:
         raise ConfigError("quasilattice experiment runs on model rn:2, affine, or heis1")
@@ -563,7 +542,7 @@ def _exp_quasilattice(cfg, cache_dir):
     return checks, ("model", "n_points", "min_count", "max_count"), rows, ps
 
 
-def _exp_oscillation(cfg, cache_dir):
+def _exp_oscillation(cfg):
     model_id = cfg.model or "r1"
     if model_id == "r1":
         grid = Grid.regular(EuclideanModel(1), [-16.0], [16.0], (512,))
@@ -599,8 +578,8 @@ def _exp_oscillation(cfg, cache_dir):
     return checks, ("pair", "max_violation", "rhs_scale"), rows, None
 
 
-def _exp_constants(cfg, cache_dir):
-    proj = _h1_projector(cfg, cache_dir)
+def _exp_constants(cfg):
+    proj = _h1_projector(cfg)
     grid, omega, model = proj.grid, proj.omega, proj.grid.model
     checks = [
         _check("band-dimension", proj.dim >= 20, dim=proj.dim),
@@ -620,7 +599,7 @@ def _exp_constants(cfg, cache_dir):
     ratio = haar_scaling_ratio(model, t=t, seed=cfg.seed)
     checks.append(_check("haar-scaling", abs(ratio / t**4 - 1.0) < cfg.tol("tol_haar", 1e-2),
                          ratio=ratio, expected=t**4))
-    c_g, b_verified = oscillation_constant(proj, cache_dir)
+    c_g, b_verified = oscillation_constant(proj, _cache_dir(cfg))
     scal = oscillation_scaling_check(proj, (0.1, 0.2, 0.4), c_g, seed=cfg.seed)
     rows = [
         {"r": row["r"], "max_ratio": row["max_ratio"],
@@ -677,7 +656,7 @@ def _report(experiment, config, checks, start, **extra):
 def run_experiment(cfg):
     """Execute one experiment; returns (report dict, header, rows, pointset)."""
     start = _start()
-    checks, header, rows, pointset = _RUNNERS[cfg.experiment](cfg, _cache_dir(cfg))
+    checks, header, rows, pointset = _RUNNERS[cfg.experiment](cfg)
     return _report(cfg.experiment, cfg.echo(), checks, start), header, rows, pointset
 
 
@@ -708,7 +687,7 @@ def _json_default(o):
 # ---------------------------------------------------------------------------
 
 
-def _shannon_sweep_row(cfg, cache_dir):
+def _shannon_sweep_row(cfg):
     kernel = _shannon_kernel(cfg.resolution if cfg.resolution is not None else 4096)
     gap = cfg.r if cfg.r is not None else 2.0
     rng = np.random.default_rng(cfg.seed)
@@ -720,15 +699,15 @@ def _shannon_sweep_row(cfg, cache_dir):
     return {"a": fb.a, "b": fb.b, "tightness": fb.tightness}
 
 
-def _beurling_sweep_row(cfg, cache_dir):
+def _beurling_sweep_row(cfg):
     omega, kernel = _beurling_kernel(cfg)
     r = cfg.r if cfg.r is not None else 1.4 / math.sqrt(omega)
     row = beurling_scan(kernel, [r])[0]
     return {"a": row["a"], "b": row["b"], "tightness": row["tightness"]}
 
 
-def _heisenberg_sweep_row(cfg, cache_dir):
-    rep = _heisenberg_report(cfg, cache_dir)
+def _heisenberg_sweep_row(cfg):
+    rep = _heisenberg_report(cfg)
     return {"a": rep["ratio_min"], "b": rep["ratio_max"],
             "tightness": rep["ratio_min"] / rep["a_pred"]}
 
@@ -789,7 +768,7 @@ def run_sweep(cfg, param, values):
             sub.resolution = int(v)
         else:
             setattr(sub, param, v)
-        rows.append({param: v, **row_of(sub.validate(), _cache_dir(cfg))})
+        rows.append({param: v, **row_of(sub.validate())})
     check = trends.get(param, _completed_trend)(cfg, vals, rows)
     report = _report(cfg.experiment, cfg.echo(), [check], start,
                      sweep={"param": param, "values": vals})

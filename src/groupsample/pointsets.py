@@ -66,6 +66,8 @@ class PointSet:
     @classmethod
     def from_csv(cls, path, model, lo=None, hi=None):
         pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if not len(pts):
+            raise ValueError(f"{path} holds no points")
         u = model.to_internal(pts)
         if lo is None:
             lo = u.min(axis=0)
@@ -94,9 +96,6 @@ _CELLS_PER_BOX = 4
 # grid-resolution tolerance of a partition's radii: U is tested at
 # u + _RADIUS_TOL and W at w - _RADIUS_TOL
 _RADIUS_TOL = 1e-12
-# translates per candidate search of tiling_check: a block's pairs are held
-# at once, so it bounds the memory
-_TILE_BLOCK = 16
 
 
 def _near_pairs(model, x, pts, r):
@@ -387,11 +386,15 @@ def tiling_check(ps: PointSet, c_lo, c_hi, shape=48) -> Certificate:
     r = float(model.gauge(corner)) * (1.0 + 1e-6)
     counts = np.zeros(len(x), dtype=np.int64)
     inv = model.inv(ps.points)
-    for start in range(0, len(ps), _TILE_BLOCK):
-        i, j, _ = _near_pairs(model, x, ps.points[start : start + _TILE_BLOCK], r)
-        q = model.to_internal(model.mul(inv[start + j], x[i]))
+    # blocks of nodes against every translate: a block's pairs are held at
+    # once, so the block size bounds the memory
+    step = max(1, _CHUNK // len(ps))
+    for start in range(0, len(x), step):
+        blk = x[start : start + step]
+        i, j, _ = _near_pairs(model, blk, ps.points, r)
+        q = model.to_internal(model.mul(inv[j], blk[i]))
         inside = np.all((q >= lo) & (q < hi), axis=1)
-        counts += np.bincount(i[inside], minlength=len(x))
+        counts[start : start + step] = np.bincount(i[inside], minlength=len(blk))
     passed = bool(np.all(counts == 1))
     return Certificate(
         "quasi-lattice", float(np.max(c_hi - c_lo)), passed,

@@ -21,6 +21,7 @@ from groupsample import (
     oscillation_scaling_check,
     estimate_constants,
     ConstantEstimates,
+    SpectralProjector,
 )
 from groupsample.analysis import projector_dilation_angle
 from groupsample.groups import UnsupportedModelError, model_from_id
@@ -268,9 +269,9 @@ def test_cache_write_prunes_other_versions(tmp_path):
 def test_estimate_constants_flags_unverified_b(tmp_path):
     grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
     proj = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
-    est = estimate_constants(proj, b_scan=(0.5, 1.0))
+    est = estimate_constants(proj, b_scan=(2.0, 3.0))
     assert est.b_verified is False
-    assert est.b == 1.0
+    assert est.b == 3.0
 
 
 def test_estimate_constants_flags_verified_b(tmp_path, monkeypatch):
@@ -281,9 +282,106 @@ def test_estimate_constants_flags_verified_b(tmp_path, monkeypatch):
     monkeypatch.setattr(
         analysis, "vector_field_apply", lambda j, f: GridFunction(f.grid, np.full(f.grid.shape, 1e6))
     )
-    est = estimate_constants(proj, b_scan=(0.5, 1.0))
+    est = estimate_constants(proj, b_scan=(2.0, 3.0))
     assert est.b_verified is True
-    assert est.b == 0.5
+    assert est.b == 2.0
+
+
+def test_estimate_constants_rejects_k_ball_without_nodes(h1_small):
+    # the nearest node of the 9^3 grid lies at gauge 1.83, so B_1 holds no
+    # node and c_ku, a sup over the nodes of B_b, would make C_G 0
+    _, proj = h1_small
+    with pytest.raises(ValueError, match=r"b = 1 holds no grid node .* gauge 1\.83"):
+        estimate_constants(proj, b_scan=(0.5, 1.0))
+
+
+def _per_direction_verdicts(proj, b_scan):
+    """The mean-value verdict at each b of ``b_scan``, as the scan computed
+    it with nested loops, rebuilding the z-sample, x z and the sup for each
+    of the 16 directions y (the reference for the one-predicate scan)."""
+    grid = proj.grid
+    model = grid.model
+    n = model.dim
+    funcs = [GridFunction(grid, v) for v in proj.eigenvectors] + analysis._bump_family(grid, 12, 0)
+    family = [k for k in range(len(funcs)) if k < 16 or k >= proj.dim]
+    nfirst = model.weights.count(1)
+    units = [tuple(int(d == j) for d in range(n)) for j in range(n)]
+    grads = {k: [analysis._derivative({(0,) * n: funcs[k]}, e) for e in units] for k in family}
+    rng = np.random.default_rng(1)
+    mid = 0.5 * (grid.lo + grid.hi)
+    span = grid.hi - grid.lo
+    xs_int = mid + rng.uniform(-0.2, 0.2, size=(24, n)) * span
+    xs = model.from_internal(xs_int)
+    rmax = 0.2 * float(np.min(span[:nfirst]))
+    ys = model.dilate(1.0, model.sphere(16))
+    radii = rng.uniform(0.2, 1.0, size=4) * rmax
+
+    verdicts = []
+    for b_try in b_scan:
+        ok = True
+        for k in family:
+            f = funcs[k]
+            fx = f.at(xs)
+            for rad in radii:
+                yr = model.dilate(rad, ys)
+                for y in yr:
+                    xy = model.mul(xs, y)
+                    lhs = np.abs(f.at(xy) - fx)
+                    zdirs = np.concatenate(
+                        [model.dilate(b_try * rad * fr, model.sphere(12)) for fr in (1.0, 0.5)]
+                        + [np.zeros((1, n))]
+                    )
+                    xz = model.mul(xs[:, None, :], zdirs[None, :, :])
+                    sup = np.zeros(len(xs))
+                    for g in grads[k]:
+                        gv = np.abs(g.at(xz))
+                        np.maximum(sup, gv.max(axis=1), out=sup)
+                    if np.any(lhs > rad * sup + 1e-12):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        verdicts.append(ok)
+    return verdicts
+
+
+@pytest.fixture(scope="module")
+def h1_origin():
+    """The band projector of a 9^3 grid with a node at the origin, so that no
+    B_b is empty and each b can be scanned alone."""
+    grid = Grid.regular(HeisenbergModel(), [-8.0] * 3, [10.0] * 3, (9,) * 3)
+    return sublaplacian_spectrum(grid, 1.0)
+
+
+@pytest.mark.parametrize("scale,b_scan,expected", [
+    (1.0, (1.0, 1.25, 1.5, 2.0, 2.5, 3.0), [False] * 6),
+    # fields 5 times X_j: b = 2 passes; at b = 1.5 and 2.5 one direction
+    # at one radius violates, so a scan that checks fewer misses it
+    (5.0, (1.5, 2.0, 2.5), [False, True, False]),
+], ids=["fields", "fields-x5"])
+def test_mean_value_verdicts_match_per_direction_loop(h1_origin, monkeypatch, scale, b_scan,
+                                                     expected):
+    # a scan of one b returns that b, verified or not
+    proj = h1_origin
+    apply = analysis.vector_field_apply
+    monkeypatch.setattr(analysis, "vector_field_apply", lambda j, f: apply(j, f) * scale)
+    verdicts = [estimate_constants(proj, b_scan=(b,)).b_verified for b in b_scan]
+    assert verdicts == _per_direction_verdicts(proj, b_scan) == expected
+
+
+def test_mean_value_slack_absorbs_differences_below_1e12(h1_origin, monkeypatch):
+    # with zero fields the sup is 0, so only the 1e-12 slack lets functions
+    # of size 1e-13 pass
+    grid = h1_origin.grid
+    rng = np.random.default_rng(0)
+    proj = SpectralProjector(grid, 1.0, np.zeros(2), 1e-13 * rng.uniform(size=(2,) + grid.shape))
+    bumps = [GridFunction(grid, 1e-13 * rng.uniform(size=grid.shape)) for _ in range(2)]
+    monkeypatch.setattr(analysis, "_bump_family", lambda grid, count, seed: bumps)
+    monkeypatch.setattr(analysis, "vector_field_apply", lambda j, f: f * 0.0)
+    est = estimate_constants(proj, b_scan=(1.0,))
+    assert [est.b_verified] == _per_direction_verdicts(proj, (1.0,)) == [True]
 
 
 @pytest.fixture(scope="module")

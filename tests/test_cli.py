@@ -51,6 +51,19 @@ def test_parse_config_rejects_negative_radius(tmp_path):
         parse_config(path)
 
 
+def test_infinite_radius_rejected(tmp_path):
+    # an infinite gap would run as an empty lattice and write Infinity, which
+    # is not JSON, into report.json
+    for key in ("r", "s", "omega"):
+        path = _write(tmp_path, f"experiment = shannon\n{key} = inf\n")
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            parse_config(path)
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = shannon\noutdir = {out}\n")
+    assert main(["sweep", path, "--param", "r", "--values", "inf"]) == 2
+    assert not out.exists()
+
+
 def test_parse_config_rejects_unknown_experiment(tmp_path):
     path = _write(tmp_path, "experiment = nope\n")
     with pytest.raises(ConfigError, match="unknown experiment"):
@@ -138,6 +151,15 @@ def test_verify_subcommand(tmp_path):
     assert rc == 1
 
 
+def test_verify_rejects_csv_without_points(tmp_path, capsys):
+    csv = tmp_path / "pts.csv"
+    csv.write_text("x0\n")
+    out = tmp_path / "out"
+    assert main(["verify", str(csv), "--sep", "0.4", "--outdir", str(out)]) == 2
+    assert "holds no points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_requires_a_check(tmp_path):
     pts = np.arange(0.0, 4.0, 1.0)[:, None]
     csv = tmp_path / "pts.csv"
@@ -184,7 +206,7 @@ def test_sweep_rejects_non_integer_grid_before_any_row(tmp_path, monkeypatch):
     # a grid value is a node count: 9.5 must not run as 9 labelled 9.5
     params, _, trends = cli._SWEEPS["shannon"]
     calls = []
-    monkeypatch.setitem(cli._SWEEPS, "shannon", (params, lambda c, d: calls.append(c) or {}, trends))
+    monkeypatch.setitem(cli._SWEEPS, "shannon", (params, lambda c: calls.append(c) or {}, trends))
     out = tmp_path / "out"
     path = _write(tmp_path, f"experiment = shannon\noutdir = {out}\n")
     assert main(["sweep", path, "--param", "grid", "--values", "17", "9.5"]) == 2
@@ -249,6 +271,17 @@ def test_report_counts_every_cache_lookup(tmp_path, monkeypatch):
     assert (first["misses"], first["hits"]) == (3, 0)
     again = run_experiment(cfg)[0]["cache"]
     assert (again["misses"], again["hits"]) == (0, 3)
+
+
+def test_heisenberg_exits_2_when_the_k_ball_holds_no_node(tmp_path, monkeypatch, capsys):
+    # on the 3^3 grid no node lies within gauge 3 of the identity, so C_G
+    # would be 0 and the lattice dilation would divide by it
+    monkeypatch.setenv("GROUPSAMPLE_CACHE", str(tmp_path / "cache"))
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = heisenberg\nresolution = 3\noutdir = {out}\n")
+    assert main(["run", path]) == 2
+    assert "holds no grid node" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_config_validation():

@@ -12,7 +12,7 @@ from groupsample.groups import UnsupportedModelError
 MODELS = [EuclideanModel(1), EuclideanModel(2), AffineModel(), HeisenbergModel()]
 
 
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.model_id)
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.model_id())
 def test_group_axioms(model):
     rng = np.random.default_rng(7)
     g = model.random_points(64, rng=rng)
@@ -30,7 +30,7 @@ def test_group_axioms(model):
 @pytest.mark.parametrize(
     "model",
     [EuclideanModel(1), EuclideanModel(2), HeisenbergModel()],
-    ids=lambda m: m.model_id,
+    ids=lambda m: m.model_id(),
 )
 def test_norm_symmetric_positive(model):
     rng = np.random.default_rng(3)
