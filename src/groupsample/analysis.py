@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import Grid, GridFunction, interpolate
+from .grids import Grid, GridFunction, interpolate, shared_grid
 from .groups import UnsupportedModelError
 from .kernels import SpectralProjector
 
@@ -50,8 +51,11 @@ def ball_offsets(model, r, spacings, n_dirs=32):
     """Deterministic sample of the punctured ball B_r used for oscillation sups.
 
     Combines the node-lattice offsets with 0 < |y| < r (at most 512, evenly
-    thinned) with sphere directions dilated to 0.999 r and 0.5 r.
+    thinned) with sphere directions dilated to 0.999 r and 0.5 r.  Raises
+    unless 0 < r < inf.
     """
+    if not 0 < r < math.inf:
+        raise ValueError(f"oscillation radius must be positive and finite, got {r}")
     max_grid_offsets = 512
     spacings = np.asarray(spacings, dtype=float)
     offs = []
@@ -107,13 +111,7 @@ def oscillation(fs, r: float, offsets=None) -> list:
     exact shift; any other is interpolated, once per offset for all the
     functions.
     """
-    if r <= 0:
-        raise ValueError("oscillation radius must be positive")
-    if not len(fs):
-        raise ValueError("no functions to take the oscillation of")
-    grid = fs[0].grid
-    if any(f.grid != grid for f in fs[1:]):
-        raise ValueError("shared grid required")
+    grid = shared_grid(fs)
     model = grid.model
     if offsets is None:
         offsets = ball_offsets(model, r, grid.spacings)
@@ -149,9 +147,7 @@ def osc_conv_check(
     the reported violation isolates the inequality itself from discretization
     differences.  Returns a dict with the max violation and scale info.
     """
-    grid = f.grid
-    if g.grid != grid:
-        raise ValueError("shared grid required")
+    grid = shared_grid((f, g))
     model = grid.model
     offsets = ball_offsets(model, r, grid.spacings, n_dirs=n_dirs)
 
@@ -265,26 +261,20 @@ def sublaplacian_matrix(grid: Grid) -> sp.csr_matrix:
     semidefinite and avoids the odd-even decoupling of composed central
     stencils.  Dirichlet condition on the box (zero outside).
     """
-    model = grid.model
     h = grid.spacings
     # the first layer: the fields of weight 1
-    first_layer = [i for i, w in enumerate(_weights(model)) if w == 1]
+    first_layer = [i for i, w in enumerate(_weights(grid.model)) if w == 1]
 
-    pts = grid.points()
     L = None
     for i in first_layer:
-        c = model.field_coefficients(i, pts)
         X = None
         # forward differences treat values beyond the high face as zero; the
         # matching ghost edge at the low face is restored below as a diagonal
         # penalty, so both faces carry the Dirichlet condition
         penalty = np.zeros(grid.shape)
-        for d in range(grid.dim):
-            cd = c[..., d]
-            if not np.any(cd != 0):
-                continue
+        for d, cd in _field_columns(grid, i):
             D = _axis_operator(grid, _forward_diff_matrix(grid.shape[d], h[d]), d)
-            term = sp.diags(cd.reshape(-1)) @ D if not np.allclose(cd, cd.flat[0]) else cd.flat[0] * D
+            term = sp.diags(cd.reshape(-1)) @ D
             X = term if X is None else X + term
             face = [slice(None)] * grid.dim
             face[d] = slice(0, 1)
@@ -433,17 +423,10 @@ def random_bandlimited(proj: SpectralProjector, seed: int = 0) -> GridFunction:
 
 
 def _multiindices(nfields, max_order):
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == nfields:
-            out.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k)
-
-    rec([], max_order)
-    return [a for a in out if 0 < sum(a)]
+    """The multiindices of order 1 to ``max_order``, in lexicographic order
+    (which fixes the order of the Bernstein sum)."""
+    orders = itertools.product(range(max_order + 1), repeat=nfields)
+    return [a for a in orders if 0 < sum(a) <= max_order]
 
 
 @dataclass

@@ -361,10 +361,7 @@ def _exp_beurling(cfg):
     omega, kernel = _beurling_kernel(cfg)
     targets = (1.0, 1.4, 2.0, 2.8, 3.5)
     rows = beurling_scan(kernel, [x / math.sqrt(omega) for x in targets])
-    table = []
-    for x, row in zip(targets, rows):
-        table.append({"r_sqrt_omega": x, "r": row["r"], "a": row["a"], "b": row["b"],
-                      "tightness": row["tightness"], "n_points": row["n_points"]})
+    table = [{"r_sqrt_omega": x, **row} for x, row in zip(targets, rows)]
     a14 = table[1]["a"]
     a35 = table[4]["a"]
     checks = [
@@ -488,6 +485,8 @@ def _exp_partition(cfg):
     u, w, tol, setup = _PARTITION_MODELS[model_id]
     u = cfg.r if cfg.r is not None else u
     w = cfg.s if cfg.s is not None else w
+    if w > u:
+        raise ConfigError(f"partition needs s <= r (W inside U), got s = {w} and r = {u}")
     tol = cfg.tol("tol_bound", tol)
     points, funcs, dense_shape, partition_shape = setup(cfg, u, w)
     rows = []
@@ -533,12 +532,8 @@ def _exp_quasilattice(cfg):
     base_range, ell_range = _QL_DEFAULTS[model_id]
     ps, (c_lo, c_hi) = quasilattice_semidirect(model, base_range, ell_range)
     cert = tiling_check(ps, c_lo, c_hi, shape=33)
-    rows = [{"model": model_id, "n_points": len(ps),
-             "min_count": cert.detail["min_count"], "max_count": cert.detail["max_count"]}]
-    checks = [
-        _check("exact-tiling", cert.passed,
-               min_count=cert.detail["min_count"], max_count=cert.detail["max_count"])
-    ]
+    rows = [{"model": model_id, "n_points": len(ps), **cert.detail}]
+    checks = [_check("exact-tiling", cert.passed, **cert.detail)]
     return checks, ("model", "n_points", "min_count", "max_count"), rows, ps
 
 
@@ -665,21 +660,23 @@ def _emit(cfg, report, header, rows, pointset):
     ``cfg.outdir``."""
     os.makedirs(cfg.outdir, exist_ok=True)
     with open(os.path.join(cfg.outdir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_plain(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     _write_csv(os.path.join(cfg.outdir, "table.csv"), header, rows)
     if pointset is not None:
         pointset.to_csv(os.path.join(cfg.outdir, "points.csv"))
 
 
-def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
+def _plain(o):
+    """``o`` as strict JSON data: numpy values become Python ones, and a
+    non-finite float is spelt as in table.csv (``inf``, ``-inf``, ``nan``)."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        return _plain(o.tolist())
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v) for v in o]
+    return _fmt(o) if isinstance(o, float) and not math.isfinite(o) else o
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +746,8 @@ _SWEEP_PARAMS = ("r", "omega", "grid")
 
 def run_sweep(cfg, param, values):
     """One row per value of ``param`` (``grid`` sets the resolution), then
-    the trend check; returns (report dict, header, rows, None)."""
+    the trend check; returns (report dict, header, rows, None).  Each value
+    is parsed and validated like a config file entry before the first row."""
     if cfg.experiment not in _SWEEPS:
         raise ConfigError(f"experiment {cfg.experiment!r} has no sweep mode")
     params, row_of, trends = _SWEEPS[cfg.experiment]
@@ -757,18 +755,11 @@ def run_sweep(cfg, param, values):
         raise ConfigError(
             f"{cfg.experiment} does not read {param!r}; its sweep parameters are {', '.join(params)}"
         )
-    vals = [float(v) for v in values]
-    if param == "grid" and not all(v.is_integer() for v in vals):
-        raise ConfigError(f"grid values are nodes per axis and must be whole numbers, got {vals}")
+    key = "resolution" if param == "grid" else param
+    subs = [_config_from_dict({**cfg.echo(), key: v}) for v in values]
+    vals = [float(getattr(sub, key)) for sub in subs]
     start = _start()
-    rows = []
-    for v in vals:
-        sub = dataclasses.replace(cfg)
-        if param == "grid":
-            sub.resolution = int(v)
-        else:
-            setattr(sub, param, v)
-        rows.append({param: v, **row_of(sub.validate())})
+    rows = [{param: v, **row_of(sub)} for v, sub in zip(vals, subs)]
     check = trends.get(param, _completed_trend)(cfg, vals, rows)
     report = _report(cfg.experiment, cfg.echo(), [check], start,
                      sweep={"param": param, "values": vals})
@@ -791,12 +782,10 @@ def run_verify(path, model_id, sep, dense):
     checks = []
     rows = []
     start = _start()
-    for name, what, radius, certify in (("separated", "separation", sep, verify_separated),
-                                        ("dense", "density", dense, verify_dense)):
+    for name, radius, certify in (("separated", sep, verify_separated),
+                                  ("dense", dense, verify_dense)):
         if radius is None:
             continue
-        if radius <= 0:
-            raise ConfigError(f"{what} radius must be positive")
         cert = certify(ps, radius)
         # the certificate's detail says how it was checked
         checks.append(_check(name, cert.passed, radius=radius, **cert.detail))
@@ -827,7 +816,7 @@ def _build_parser():
     psw = sub.add_parser("sweep", help="run a parameter sweep")
     psw.add_argument("config")
     psw.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
-    psw.add_argument("--values", required=True, nargs="+", type=float)
+    psw.add_argument("--values", required=True, nargs="+")
     psw.add_argument("-o", "--override", action="append", default=[],
                      metavar="KEY=VALUE")
     psw.add_argument("--outdir", default=None)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .groups import GroupModel
 
-__all__ = ["Grid", "GridFunction", "interpolate"]
+__all__ = ["Grid", "GridFunction", "interpolate", "shared_grid"]
 
 
 @dataclass(frozen=True)
@@ -236,3 +236,12 @@ class GridFunction:
         return GridFunction(self.grid, self.values * c)
 
     __rmul__ = __mul__
+
+
+def shared_grid(fs) -> Grid:
+    """The one grid of the functions ``fs``; raises when they have several."""
+    if not len(fs):
+        raise ValueError("no functions given")
+    if any(f.grid != fs[0].grid for f in fs[1:]):
+        raise ValueError("shared grid required")
+    return fs[0].grid

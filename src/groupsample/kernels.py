@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridFunction, interpolate
+from .grids import Grid, GridFunction, interpolate, shared_grid
 from .groups import EuclideanModel, AffineModel
 
 __all__ = [
@@ -171,7 +171,7 @@ def wavelet_transform(phis, psi: GridFunction, affine_grid: Grid) -> list:
     """
     if not isinstance(affine_grid.model, AffineModel):
         raise ValueError("target grid must be affine")
-    line = _shared_grid(phis)
+    line = shared_grid(phis)
     s = line.axis(0)
     hs = float(line.spacings[0])
     us = affine_grid.axis(0)
@@ -194,15 +194,6 @@ def wavelet_transform(phis, psi: GridFunction, affine_grid: Grid) -> list:
                 f"(isometry defect {defect:.3f} > 0.05)"
             )
     return Ws
-
-
-def _shared_grid(fs) -> Grid:
-    """The one grid of the functions ``fs``; raises when they have several."""
-    if not len(fs):
-        raise ValueError("no functions given")
-    if any(f.grid != fs[0].grid for f in fs[1:]):
-        raise ValueError("shared grid required")
-    return fs[0].grid
 
 
 def cosine_taper_bump(affine_grid: Grid) -> GridFunction:
@@ -251,7 +242,7 @@ class WaveletSystem:
         interpolation.  Points are grouped by scale; each block of a scale
         builds its arguments once and is one vectorized correlation per
         signal."""
-        line = _shared_grid(phis)
+        line = shared_grid(phis)
         lo, hi = line.lo[0], line.hi[0]
         n_eta = max(8192, line.shape[0])
         s_grid = Grid.regular(line.model, [1.5 * lo], [1.5 * hi], (n_eta,))
@@ -339,7 +330,7 @@ def _conv_hstar_at(Fs, h: GridFunction, points_chart) -> np.ndarray:
     (n_Fs, n_points), for functions ``Fs`` on one affine grid; one
     interpolation per chunk of points for all of them."""
     chunk = 64
-    grid = _shared_grid(Fs)
+    grid = shared_grid(Fs)
     model = grid.model
     values = np.stack([F.values for F in Fs])
     hg = h.grid

@@ -198,10 +198,10 @@ def verify_separated(ps: PointSet, s: float) -> Certificate:
     exactly the overlapping ones, and affine balls are coordinate boxes whose
     overlap is decided exactly; on H1 points of one ball on dilated sphere
     directions are tested for membership in the other, a sampled check.
-    ``detail["overlap_test"]`` says which.
+    ``detail["overlap_test"]`` says which.  Raises unless 0 < s < inf.
     """
-    if s <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError(f"separation radius must be positive and finite, got {s}")
     model = ps.model
     detail = {"overlap_test": model.overlap_test, "exact_pairs": 0}
     i, j, _ = _near_pairs(model, ps.points, ps.points, model.separation_distance(s))
@@ -221,10 +221,10 @@ def verify_dense(ps: PointSet, r: float, shape=64) -> Certificate:
     Only the grid nodes are checked, not the whole region; the certificate
     says so in ``detail["checked_on"]``.  ``worst_distance`` is exact over
     the nodes: nodes with no point within r get their distance to the whole
-    set.
+    set.  Raises unless 0 < r < inf.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"density radius must be positive and finite, got {r}")
     model = ps.model
     grid = Grid.regular(model, ps.lo, ps.hi, shape)
     x = grid.points().reshape(-1, model.dim)

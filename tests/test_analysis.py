@@ -157,6 +157,31 @@ def test_sublaplacian_symmetric():
     assert abs(L - L.T).max() < 1e-12
 
 
+@pytest.mark.parametrize("grid,digests", [
+    (Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3),
+     ("256d4a5d0864d4140ec7775bf7590ce7e0dff6ff9b1bf97e541255c397b86e55",
+      "51183b98cc8afaf4b5f83011f69d7f82e5d9c0e167cf05199a8ea193cd290c8d",
+      "c1407639f51a89932d4a485c851a17b273d5d392e8462e591f79cb3a045535f5")),
+    (Grid.regular(EuclideanModel(2), [-5.0] * 2, [5.0] * 2, (20,) * 2),
+     ("c0f820d9c682b7a6119c69ca35f1fe4997bb28b72d5afe4931a0c7c8cf04d3c9",
+      "82e72889ca1201604d2726391e0753e83d676dd039f0a201b05e7c326e71ea0d",
+      "7eb8d9841dbc0f0562fc9073b32629e293f6803d0d069d082965e62b1737ef4f")),
+], ids=["heis1-9", "rn2-20"])
+def test_sublaplacian_matrix_bytes_pinned(grid, digests):
+    # the eigenpairs, and so every spectral table, rest on these bytes
+    L = sublaplacian_matrix(grid)
+    assert (_sha(L.data), _sha(L.indices), _sha(L.indptr)) == digests
+
+
+@pytest.mark.parametrize("r", [-0.5, float("nan"), float("inf")])
+def test_oscillation_radius_must_be_positive_and_finite(r):
+    grid = Grid.regular(EuclideanModel(1), [-4.0], [4.0], (64,))
+    f = _gauss(grid, [0.0], 0.7)
+    for call in (lambda: oscillation([f], r), lambda: osc_conv_check(f, f, r)):
+        with pytest.raises(ValueError, match="oscillation radius must be positive and finite"):
+            call()
+
+
 def test_spectrum_bernstein_and_cache(h1_grid, h1_proj, cache_dir):
     omega = h1_proj.omega
     assert np.all(h1_proj.eigenvalues <= omega + 1e-12)

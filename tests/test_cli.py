@@ -160,6 +160,18 @@ def test_verify_rejects_csv_without_points(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option,radius", [("--sep", "nan"), ("--dense", "inf"), ("--sep", "-1")])
+def test_verify_rejects_radius_not_positive_and_finite(tmp_path, capsys, option, radius):
+    # a NaN separation radius used to certify every pair as disjoint, and
+    # an infinite density radius every node as covered
+    csv = tmp_path / "pts.csv"
+    np.savetxt(csv, [[0.0], [0.1], [0.2], [5.0]], delimiter=",", header="x0", comments="")
+    out = tmp_path / "out"
+    assert main(["verify", str(csv), option, radius, "--outdir", str(out)]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_requires_a_check(tmp_path):
     pts = np.arange(0.0, 4.0, 1.0)[:, None]
     csv = tmp_path / "pts.csv"
@@ -203,15 +215,35 @@ def test_sweep_rejects_parameter_not_read(tmp_path, experiment, param):
 
 
 def test_sweep_rejects_non_integer_grid_before_any_row(tmp_path, monkeypatch):
-    # a grid value is a node count: 9.5 must not run as 9 labelled 9.5
+    # a grid value is a node count: 9.5 must not run as 9 labelled 9.5; and
+    # every value is checked as a config value before the first row runs
     params, _, trends = cli._SWEEPS["shannon"]
     calls = []
     monkeypatch.setitem(cli._SWEEPS, "shannon", (params, lambda c: calls.append(c) or {}, trends))
     out = tmp_path / "out"
     path = _write(tmp_path, f"experiment = shannon\noutdir = {out}\n")
-    assert main(["sweep", path, "--param", "grid", "--values", "17", "9.5"]) == 2
-    assert calls == []
-    assert not out.exists()
+    for param, values in (("grid", ["17", "9.5"]), ("grid", ["17", "17.0"]),
+                          ("r", ["2.0", "1.0", "inf"])):
+        assert main(["sweep", path, "--param", param, "--values", *values]) == 2, values
+        assert calls == []
+        assert not out.exists()
+
+
+def test_sweep_report_is_strict_json(tmp_path):
+    # README's sweep: at gap 2 the lower bound is 0, so the tightness is
+    # infinite; report.json spells it as table.csv does
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = shannon\noutdir = {out}\n")
+    assert main(["sweep", path, "--param", "r", "--values", "2.0", "1.0", "0.5", "0.25"]) == 0
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    (check,) = report["checks"]
+    assert check["tightness_by_decreasing_r"][0] == "inf"
+    assert report["sweep"]["values"] == [2.0, 1.0, 0.5, 0.25]
+    assert (out / "table.csv").read_text().splitlines()[1].endswith(",inf")
 
 
 def test_misspelt_tolerance_exit_code(tmp_path):
@@ -281,6 +313,21 @@ def test_heisenberg_exits_2_when_the_k_ball_holds_no_node(tmp_path, monkeypatch,
     path = _write(tmp_path, f"experiment = heisenberg\nresolution = 3\noutdir = {out}\n")
     assert main(["run", path]) == 2
     assert "holds no grid node" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model,overrides", [("heis1", "resolution = 9\nr = 0.3\n"),
+                                             ("r1", "r = 0.05\n")], ids=["heis1", "r1"])
+def test_partition_rejects_s_above_r_before_setup(tmp_path, monkeypatch, capsys, model, overrides):
+    # the default s is 0.4 on heis1 and 0.08 on r1; the check comes before
+    # the band projector's eigensolve
+    calls = []
+    monkeypatch.setattr(cli, "sublaplacian_spectrum", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = partition\nmodel = {model}\n{overrides}outdir = {out}\n")
+    assert main(["run", path]) == 2
+    assert "needs s <= r" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 
