@@ -21,6 +21,7 @@ from .pointsets import (
 )
 from .analysis import (
     oscillation,
+    oscillation_l1_box,
     osc_conv_check,
     vector_field_apply,
     sublaplacian_matrix,
@@ -41,7 +42,6 @@ from .kernels import (
     mexican_hat,
     wavelet_transform,
     cosine_taper_bump,
-    oscillation_l1_box,
     mollified_vector,
     WaveletSystem,
 )
@@ -53,6 +53,7 @@ from .frames import (
     theorem35_verdict,
     lattice_sum_squares,
     heisenberg_sampling_experiment,
+    hypothesis_scan,
     wavelet_frame_bounds,
     beurling_scan,
 )

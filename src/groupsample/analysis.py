@@ -27,6 +27,7 @@ from .kernels import SpectralProjector
 
 __all__ = [
     "oscillation",
+    "oscillation_l1_box",
     "ball_offsets",
     "osc_conv_check",
     "vector_field_apply",
@@ -98,27 +99,41 @@ def _integer_shift(values, shift):
     return out
 
 
-def oscillation(fs, r: float, offsets=None) -> list:
+def oscillation(fs, r: float) -> list:
     """Discrete modulus of continuity sup_{y in B_r} |f(x) - f(x y^-1)| of
     each function of the sequence ``fs``, which share one grid; one
     GridFunction per function, in order.
 
-    The sup runs over a deterministic sample of the ball (node offsets plus
-    interpolated boundary shells); it is therefore an under-estimate of the
-    continuum sup, which every inequality check here accounts for.  Explicit
-    ``offsets`` (chart coordinates) override the ball sample.  An offset
-    that moves the node lattice by whole steps (``model.node_shift``) is an
-    exact shift; any other is interpolated, once per offset for all the
-    functions.
+    The sup runs over a deterministic sample of the ball (``ball_offsets``:
+    node offsets plus interpolated boundary shells); it is therefore an
+    under-estimate of the continuum sup, which every inequality check here
+    accounts for.
     """
     grid = shared_grid(fs)
-    model = grid.model
-    if offsets is None:
-        offsets = ball_offsets(model, r, grid.spacings)
-    offsets = np.asarray(offsets, dtype=float)
-    if len(offsets) == 0:
-        raise ValueError("empty oscillation offset sample")
+    return _oscillation(grid, fs, ball_offsets(grid.model, r, grid.spacings))
 
+
+def oscillation_l1_box(f: GridFunction, half_widths) -> float:
+    """||osc_U f||_1 with U the internal-coordinate box, sampled 5 per axis
+    including the box corners (the set U for models without a homogeneous
+    norm); Haar-weighted L1.  Raises unless every half-width lies in
+    (0, inf)."""
+    half_widths = np.asarray(half_widths, dtype=float)
+    if not np.all((0 < half_widths) & (half_widths < math.inf)):
+        raise ValueError(f"box half-widths must be positive and finite, got {half_widths.tolist()}")
+    axes = [np.linspace(-w, w, 5) for w in half_widths]
+    u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.grid.dim)
+    offs = f.grid.model.from_internal(u[np.any(u != 0, axis=1)])
+    (osc,) = _oscillation(f.grid, [f], offs)
+    return osc.norm_l1()
+
+
+def _oscillation(grid, fs, offsets):
+    """sup over the chart ``offsets`` y of |f(x) - f(x y^-1)| at the nodes of
+    ``grid`` for each function of ``fs``.  An offset that moves the node
+    lattice by whole steps (``model.node_shift``) is an exact shift; any
+    other is interpolated, once per offset for all the functions."""
+    model = grid.model
     values = np.stack([f.values for f in fs])
     x = model.from_internal(grid.nodes_internal())
     out = np.zeros(values.shape)
@@ -132,31 +147,26 @@ def oscillation(fs, r: float, offsets=None) -> list:
     return [GridFunction(grid, o) for o in out]
 
 
-def osc_conv_check(
-    f: GridFunction,
-    g: GridFunction,
-    r: float,
-    n_sample: int = 400,
-    n_dirs: int = 32,
-    seed: int = 0,
-):
+def osc_conv_check(f: GridFunction, g: GridFunction, r: float, seed: int = 0):
     """Check osc_U(f*g) <= |f| * osc_U(g) pointwise, U = B_r.
 
     Both sides are evaluated from the same interpolant of g and the same
-    finite offset sample, at a deterministic sample of evaluation points, so
-    the reported violation isolates the inequality itself from discretization
-    differences.  Returns a dict with the max violation and scale info.
+    finite offset sample (``ball_offsets`` with 12 sphere directions), at a
+    deterministic sample of evaluation points: 400 nodes on a line, 120 in
+    higher dimensions, which keeps the 3-D runs tractable.  So the reported
+    violation isolates the inequality itself from discretization
+    differences.  Returns a dict with the max violation, scale info and the
+    sample sizes.
     """
     grid = shared_grid((f, g))
     model = grid.model
-    offsets = ball_offsets(model, r, grid.spacings, n_dirs=n_dirs)
+    n_sample = 400 if grid.dim == 1 else 120
+    # on a line the sphere is {-1, 1} for any direction count
+    offsets = ball_offsets(model, r, grid.spacings, n_dirs=12)
 
-    w = grid.weights().reshape(-1)
-    fv = f.values.reshape(-1)
-    supp = np.nonzero(np.abs(fv) > 1e-14 * max(np.abs(fv).max(), 1e-300))[0]
-    z = grid.points().reshape(-1, grid.dim)[supp]
+    z, w, fv = f.support()
     zinv = model.inv(z)
-    coef = w[supp] * fv[supp]
+    coef = w * fv
 
     all_pts = grid.points().reshape(-1, grid.dim)
     if len(all_pts) > n_sample:
@@ -182,6 +192,7 @@ def osc_conv_check(
     return {
         "max_violation": float(violation),
         "rhs_scale": float(rhs.max()) if rhs.size else 0.0,
+        "checked_on": "sampled",
         "n_points": len(xs),
         "n_offsets": len(offsets),
     }
@@ -589,16 +600,10 @@ def oscillation_constant(proj: SpectralProjector, cache_dir: str | None):
     return float(data["c_g"]), bool(data["b_verified"])
 
 
-def oscillation_scaling_check(
-    proj_e1: SpectralProjector,
-    r_list,
-    c_g: float,
-    seed: int = 0,
-):
+def oscillation_scaling_check(proj_e1: SpectralProjector, r_list, seed: int = 0):
     """Ratios ||osc_{B_r} f||_2 / ||f||_2 for 8 random band elements.
 
-    Reports the per-radius ratios, the linear fit of ratio against r, and
-    whether every ratio stays below r times the supplied constant.
+    Reports the per-radius ratios and the linear fit of ratio against r.
     """
     if not all(0 < r <= 1 for r in r_list):
         raise ValueError("radii must lie in (0, 1]")
@@ -621,8 +626,6 @@ def oscillation_scaling_check(
         "r_squared": r2,
         "ratio_over_r": per_r.tolist(),
         "ratio_over_r_spread": float((per_r.max() - per_r.min()) / per_r.max()),
-        "bound_satisfied": bool(np.all(ms <= rs * c_g)),
-        "c_g": float(c_g),
     }
 
 

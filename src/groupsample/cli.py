@@ -48,6 +48,7 @@ from .analysis import (
     random_bandlimited,
     oscillation_constant,
     oscillation_scaling_check,
+    projector_dilation_angle,
     version_hash,
     CACHE_COUNTS,
 )
@@ -58,6 +59,7 @@ from .frames import (
     theorem35_verdict,
     quasi_interpolate,
     heisenberg_sampling_experiment,
+    hypothesis_scan,
     wavelet_frame_bounds,
     beurling_scan,
 )
@@ -73,10 +75,18 @@ _SCALAR_KEYS = {
     "seed": int,
     "outdir": str,
 }
-# the tolerance overrides: the names the experiments read with cfg.tol
-_TOLERANCE_KEYS = ("tol_angle", "tol_bound", "tol_bounds", "tol_collapse", "tol_comm",
-                   "tol_covariance", "tol_haar", "tol_positive", "tol_recon", "tol_spread",
-                   "tol_violation")
+# experiment -> the tolerance overrides its runner and its sweep trend read
+# with cfg.tol; no other tolerance is accepted for it
+_TOLERANCES = {
+    "shannon": ("tol_bounds", "tol_collapse", "tol_recon"),
+    "beurling-scan": ("tol_positive", "tol_collapse"),
+    "wavelet-frame": (),
+    "heisenberg": ("tol_angle", "tol_covariance"),
+    "partition": ("tol_bound",),
+    "quasilattice": (),
+    "oscillation": ("tol_violation",),
+    "constants": ("tol_comm", "tol_haar", "tol_spread"),
+}
 
 
 class ConfigError(ValueError):
@@ -157,13 +167,13 @@ def _config_from_dict(raw):
                 kwargs[key] = _SCALAR_KEYS[key](value)
             except ValueError:
                 raise ConfigError(f"bad value for {key}: {value!r}") from None
-        elif key in _TOLERANCE_KEYS:
+        elif key in _TOLERANCES.get(raw["experiment"], ()):
             try:
                 tols[key] = float(value)
             except ValueError:
                 raise ConfigError(f"bad tolerance {key}: {value!r}") from None
         else:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r} for experiment {raw['experiment']!r}")
     return ExperimentConfig(tolerances=tols, **kwargs).validate()
 
 
@@ -378,7 +388,7 @@ def _exp_wavelet(cfg):
     psi = mexican_hat(sg)
     ag = Grid.regular(am, [-3.0, -16.0], [3.0, 16.0], (66, 292))
     system = mollified_vector(psi, ag, cosine_taper_bump(ag))
-    scan = system.hypothesis_scan((0.3, 0.25, 0.2, 0.15, 0.1))
+    scan = hypothesis_scan(system, (0.3, 0.25, 0.2, 0.15, 0.1))
     checks = [
         _check("hypothesis-scan", scan["u_star"] is not None,
                u_star=scan["u_star"], c_factor=scan["c_factor"],
@@ -414,16 +424,17 @@ def _exp_wavelet(cfg):
 
 def _heisenberg_report(cfg):
     """``heisenberg_sampling_experiment`` over the cached projector and C_G,
-    at x = r sqrt(omega) C_G given by r (default just below 1)."""
+    at x = r sqrt(omega) C_G given by r (default just below 1), with the
+    ``dilation_angle`` of the projector under delta_t, t = 2^(-1/4)."""
     x_target = cfg.r if cfg.r is not None else 1.0 - 5e-6
     if not 0 < x_target < 1:
         raise ConfigError("r plays the role of x = r sqrt(omega) C_G here: need 0 < r < 1")
     proj = _h1_projector(cfg)
     cache_dir = _cache_dir(cfg)
     c_g, _ = oscillation_constant(proj, cache_dir)
-    return heisenberg_sampling_experiment(
-        proj, c_g, x_target=x_target, seed=cfg.seed, cache_dir=cache_dir
-    )
+    rep = heisenberg_sampling_experiment(proj, c_g, x_target=x_target, seed=cfg.seed)
+    rep["dilation_angle"] = projector_dilation_angle(proj, 2.0**-0.25, cache_dir=cache_dir)
+    return rep
 
 
 def _exp_heisenberg(cfg):
@@ -509,8 +520,10 @@ def _exp_partition(cfg):
         row["rhs"] = osc.norm_l2()
         row["margin"] = row["rhs"] - row["lhs"]
         worst = max(worst, row["lhs"] - row["rhs"])
+    # every configuration is checked the same way
     checks = [
-        _check("certificates", cert_ok, n_configs=10),
+        _check("certificates", cert_ok, n_configs=10, checked_on=cd.detail["checked_on"],
+               overlap_test=cs.detail["overlap_test"]),
         _check("partition-invariants", inv_ok),
         _check("quasi-interpolation-bound", worst <= tol, worst_violation=worst, tolerance=tol),
     ]
@@ -553,22 +566,20 @@ def _exp_oscillation(cfg):
         spread = 1.5
     else:
         raise ConfigError("oscillation experiment runs on model r1 or heis1")
-    # both sides of the inequality share one offset sample; a modest sample
-    # of evaluation points keeps the 3-D runs tractable
-    n_sample = 400 if grid.dim == 1 else 120
-    n_dirs = 32 if grid.dim == 1 else 12
     rows = []
     worst = -math.inf
     for k in range(20):
         f = _random_smooth(grid, cfg.seed + 2 * k, spread)
         g = _random_smooth(grid, cfg.seed + 2 * k + 1, spread)
-        rep = osc_conv_check(f, g, r, n_sample=n_sample, n_dirs=n_dirs, seed=cfg.seed + k)
+        rep = osc_conv_check(f, g, r, seed=cfg.seed + k)
         worst = max(worst, rep["max_violation"])
         rows.append({"pair": k, "max_violation": rep["max_violation"],
                      "rhs_scale": rep["rhs_scale"]})
+    # the sample sizes depend on the grid only, so every pair shares them
+    basis = {key: rep[key] for key in ("checked_on", "n_points", "n_offsets")}
     checks = [
         _check("osc-conv-inequality", worst < tol, worst_violation=worst,
-               tolerance=tol, n_pairs=20)
+               tolerance=tol, n_pairs=20, **basis)
     ]
     return checks, ("pair", "max_violation", "rhs_scale"), rows, None
 
@@ -595,14 +606,14 @@ def _exp_constants(cfg):
     checks.append(_check("haar-scaling", abs(ratio / t**4 - 1.0) < cfg.tol("tol_haar", 1e-2),
                          ratio=ratio, expected=t**4))
     c_g, b_verified = oscillation_constant(proj, _cache_dir(cfg))
-    scal = oscillation_scaling_check(proj, (0.1, 0.2, 0.4), c_g, seed=cfg.seed)
+    scal = oscillation_scaling_check(proj, (0.1, 0.2, 0.4), seed=cfg.seed)
     rows = [
         {"r": row["r"], "max_ratio": row["max_ratio"],
          "ratio_over_r": row["max_ratio"] / row["r"], "bound": row["r"] * c_g}
         for row in scal["rows"]
     ]
-    checks.append(_check("osc-scaling-bound", scal["bound_satisfied"], c_g=c_g,
-                         b_verified=b_verified))
+    checks.append(_check("osc-scaling-bound", all(row["max_ratio"] <= row["bound"] for row in rows),
+                         c_g=c_g, b_verified=b_verified))
     checks.append(_check("osc-scaling-linearity",
                          scal["ratio_over_r_spread"] < cfg.tol("tol_spread", 0.25),
                          spread=scal["ratio_over_r_spread"], slope=scal["slope"],

@@ -20,7 +20,7 @@ from .grids import Grid, GridFunction
 from .groups import EuclideanModel, HeisenbergModel
 from .pointsets import PointSet, Partition, verify_separated, verify_dense, gap_lattice
 from .kernels import SpectralProjector
-from .analysis import oscillation, random_bandlimited, projector_dilation_angle
+from .analysis import oscillation, oscillation_l1_box, random_bandlimited
 
 __all__ = [
     "FrameSystem",
@@ -30,6 +30,7 @@ __all__ = [
     "theorem35_verdict",
     "lattice_sum_squares",
     "heisenberg_sampling_experiment",
+    "hypothesis_scan",
     "wavelet_frame_bounds",
     "beurling_scan",
 ]
@@ -293,15 +294,10 @@ def lattice_sum_squares(f: GridFunction, steps) -> float:
 
 
 def heisenberg_sampling_experiment(
-    proj: SpectralProjector,
-    c_g: float,
-    x_target: float = 0.9,
-    seed: int = 0,
-    cache_dir: str | None = None,
+    proj: SpectralProjector, c_g: float, x_target: float = 0.9, seed: int = 0
 ) -> dict:
     """Lower frame bound of the dilated integer-type lattice over 8 random
-    band elements against the band-space envelope, plus the
-    dilation-covariance check.
+    band elements against the band-space envelope.
 
     The lattice {(p, q, k/2)} dilated by d is a product set, so the sampled
     energy is evaluated exactly through per-cell power sums: no point
@@ -333,7 +329,6 @@ def heisenberg_sampling_experiment(
         f = random_bandlimited(proj, seed=seed + k)
         ratios.append(lattice_sum_squares(f, steps) / f.norm_l2() ** 2)
     ratios = np.array(ratios)
-    angle = projector_dilation_angle(proj, 2.0 ** -0.25, cache_dir=cache_dir)
     return {
         "omega": float(omega),
         "c_g": float(c_g),
@@ -345,8 +340,22 @@ def heisenberg_sampling_experiment(
         "ratio_max": float(ratios.max()),
         "ratios": ratios.tolist(),
         "guaranteed_pass": bool(ratios.min() >= a_pred * 0.9),
-        "dilation_angle": float(angle),
     }
+
+
+def hypothesis_scan(system, radii) -> dict:
+    """First box U (half-widths scaled by each radius) with
+    c * ||osc_U h^*||_1 < 1 for the wavelet system ``system``; the hypothesis
+    feeding the frame theorem."""
+    hs = system.h_star()
+    rows = []
+    found = None
+    for r in radii:
+        val = system.c_factor * oscillation_l1_box(hs, (r, r))
+        rows.append({"u_half": float(r), "epsilon": float(val)})
+        if found is None and val < 1.0:
+            found = float(r)
+    return {"rows": rows, "u_star": found, "c_factor": system.c_factor}
 
 
 def wavelet_frame_bounds(system, pointset: PointSet, probes) -> FrameBounds:

@@ -31,7 +31,6 @@ __all__ = [
     "cosine_taper_bump",
     "WaveletSystem",
     "mollified_vector",
-    "oscillation_l1_box",
 ]
 
 
@@ -206,21 +205,6 @@ def cosine_taper_bump(affine_grid: Grid) -> GridFunction:
     return GridFunction.from_callable(affine_grid, fn, chart=False)
 
 
-def oscillation_l1_box(f: GridFunction, half_widths) -> float:
-    """||osc_U f||_1 with U the internal-coordinate box, sampled 5 per axis
-    including the box corners (the set U for models without a homogeneous
-    norm); Haar-weighted L1."""
-    from .analysis import oscillation
-
-    axes = [np.linspace(-w, w, 5) for w in np.asarray(half_widths, dtype=float)]
-    u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.grid.dim)
-    offs = f.grid.model.from_internal(u[np.any(u != 0, axis=1)])
-    # the radius argument only sizes the default ball sample; explicit
-    # offsets bypass it
-    (osc,) = oscillation([f], r=1.0, offsets=offs)
-    return osc.norm_l1()
-
-
 @dataclass
 class WaveletSystem:
     """Mother wavelet, mollifier h, and the derived vector eta of the
@@ -247,13 +231,9 @@ class WaveletSystem:
         n_eta = max(8192, line.shape[0])
         s_grid = Grid.regular(line.model, [1.5 * lo], [1.5 * hi], (n_eta,))
         tau_full = s_grid.axis(0)
-        hg = self.h.grid
-        w = hg.weights().reshape(-1)
-        hv = self.h.values.reshape(-1)
-        supp = np.nonzero(np.abs(hv) > 1e-14)[0]
-        zs = hg.points().reshape(-1, 2)[supp]
+        zs, w, hv = self.h.support()
         ev = np.zeros(n_eta, dtype=np.complex128)
-        for (a, b), c in zip(zs, w[supp] * hv[supp]):
+        for (a, b), c in zip(zs, w * hv):
             tpl = interpolate(self.psi.values, self.psi.grid, ((tau_full - b) / a)[:, None])
             ev += c * tpl / math.sqrt(a)
         htau = float(s_grid.spacings[0])
@@ -299,8 +279,7 @@ class WaveletSystem:
     def h_star(self) -> GridFunction:
         """h^*(x) = conj(h(x^-1)) sampled on an affine grid covering supp(h)^-1."""
         model = self.h.grid.model
-        pts = self.h.grid.points().reshape(-1, 2)
-        nz = pts[np.abs(self.h.values.reshape(-1)) > 1e-14]
+        nz, _, _ = self.h.support()
         u_max = float(np.abs(np.log(nz[:, 0])).max())
         # inverse support: u -> -u, b -> -b e^{-u}
         b_max = float(np.abs(nz[:, 1]).max()) * math.exp(u_max)
@@ -311,19 +290,6 @@ class WaveletSystem:
         vals = np.conj(self.h.at(model.inv(x)))
         return GridFunction(grid, vals.reshape(grid.shape))
 
-    def hypothesis_scan(self, radii) -> dict:
-        """First box U (half-widths scaled by each radius) with
-        c * ||osc_U h^*||_1 < 1; the hypothesis feeding the frame theorem."""
-        hs = self.h_star()
-        rows = []
-        found = None
-        for r in radii:
-            val = self.c_factor * oscillation_l1_box(hs, (r, r))
-            rows.append({"u_half": float(r), "epsilon": float(val)})
-            if found is None and val < 1.0:
-                found = float(r)
-        return {"rows": rows, "u_star": found, "c_factor": self.c_factor}
-
 
 def _conv_hstar_at(Fs, h: GridFunction, points_chart) -> np.ndarray:
     """(F * h^*)(x) = int F(x z) conj(h(z)) dmu(z) at chart points x, shape
@@ -333,12 +299,8 @@ def _conv_hstar_at(Fs, h: GridFunction, points_chart) -> np.ndarray:
     grid = shared_grid(Fs)
     model = grid.model
     values = np.stack([F.values for F in Fs])
-    hg = h.grid
-    w = hg.weights().reshape(-1)
-    hv = h.values.reshape(-1)
-    supp = np.nonzero(np.abs(hv) > 1e-14)[0]
-    z = hg.points().reshape(-1, 2)[supp]
-    coef = (w[supp] * np.conj(hv[supp]))[None, :]
+    z, w, hv = h.support()
+    coef = (w * np.conj(hv))[None, :]
     pts = np.asarray(points_chart, dtype=float).reshape(-1, 2)
     out = np.empty((len(Fs), len(pts)), dtype=np.complex128)
     for s in range(0, len(pts), chunk):

@@ -370,7 +370,9 @@ def quasilattice_semidirect(model, base_range, ell_range):
 
 def tiling_check(ps: PointSet, c_lo, c_hi, shape=48) -> Certificate:
     """Gamma C covers the region disjointly: every grid node lies in exactly
-    one translate gamma C (C a half-open internal-coordinate box).
+    one translate gamma C (C a half-open internal-coordinate box).  Only the
+    grid nodes are checked, as ``detail["checked_on"]`` says, with their
+    count in ``detail["n_nodes"]``.
 
     A translate is tested only on the nodes ``_near_pairs`` finds within the
     gauge of C's farthest corner, padded for rounding: the gauge does not
@@ -400,7 +402,8 @@ def tiling_check(ps: PointSet, c_lo, c_hi, shape=48) -> Certificate:
         "quasi-lattice", float(np.max(c_hi - c_lo)), passed,
         witness=None if passed else x[int(np.argmax(counts != 1))],
         n_checked=len(x),
-        detail={"min_count": int(counts.min()), "max_count": int(counts.max())},
+        detail={"min_count": int(counts.min()), "max_count": int(counts.max()),
+                "checked_on": "grid nodes", "n_nodes": len(x)},
     )
 
 

@@ -7,12 +7,14 @@ import scipy.sparse.linalg as spla
 import groupsample.analysis as analysis
 
 from groupsample import (
+    AffineModel,
     EuclideanModel,
     HeisenbergModel,
     Grid,
     GridFunction,
     interpolate,
     oscillation,
+    oscillation_l1_box,
     osc_conv_check,
     vector_field_apply,
     sublaplacian_matrix,
@@ -182,6 +184,17 @@ def test_oscillation_radius_must_be_positive_and_finite(r):
             call()
 
 
+@pytest.mark.parametrize(
+    "half_widths", [(0.0, 0.0), (0.1, 0.0), (float("nan"), 0.1), (float("inf"), 0.1)]
+)
+def test_oscillation_l1_box_half_widths_must_be_positive_and_finite(half_widths):
+    # a zero half-width would measure a box of zero width along its axis
+    grid = Grid.regular(AffineModel(), [-2.0, -8.0], [2.0, 8.0], (8, 16))
+    f = GridFunction(grid, np.ones(grid.shape))
+    with pytest.raises(ValueError, match="half-widths must be positive and finite"):
+        oscillation_l1_box(f, half_widths)
+
+
 def test_spectrum_bernstein_and_cache(h1_grid, h1_proj, cache_dir):
     omega = h1_proj.omega
     assert np.all(h1_proj.eigenvalues <= omega + 1e-12)
@@ -213,7 +226,7 @@ def test_ball_volume_closed_forms():
 
 def test_scaling_check_rejects_large_radius(h1_proj):
     with pytest.raises(ValueError):
-        oscillation_scaling_check(h1_proj, (0.5, 2.0), 100.0)
+        oscillation_scaling_check(h1_proj, (0.5, 2.0))
 
 
 def test_dilation_angle_small(h1_proj, cache_dir):

@@ -253,6 +253,17 @@ def test_misspelt_tolerance_exit_code(tmp_path):
     assert not out.exists()
 
 
+def test_tolerance_of_another_experiment_is_rejected(tmp_path):
+    # partition reads tol_bound and shannon tol_bounds; beurling-scan reads
+    # neither, so neither may be set for it
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = beurling-scan\noutdir = {out}\n")
+    for key in ("tol_bound", "tol_bounds"):
+        assert main(["run", path, "-o", f"{key}=100"]) == 2
+        assert not out.exists()
+    assert main(["run", path, "-o", "tol_positive=1e-6"]) == 0
+
+
 def test_tolerance_keys_are_the_names_the_experiments_read():
     import ast
 
@@ -263,7 +274,7 @@ def test_tolerance_keys_are_the_names_the_experiments_read():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "tol"
     ]
-    assert sorted(cli._TOLERANCE_KEYS) == sorted(set(read))
+    assert sorted(set().union(*cli._TOLERANCES.values())) == sorted(set(read))
 
 
 def test_line_experiments_match_reference(tmp_path):
@@ -293,7 +304,7 @@ def test_line_experiments_match_reference(tmp_path):
 
 def test_report_counts_every_cache_lookup(tmp_path, monkeypatch):
     # heisenberg reads three cache entries: the band projector, C_G, and the
-    # projector of the dilation-angle check inside the library
+    # dilated projector of the dilation-angle check
     cache = tmp_path / "cache"
     monkeypatch.setenv("GROUPSAMPLE_CACHE", str(cache))
     cfg = ExperimentConfig(experiment="heisenberg", resolution=9,
@@ -456,3 +467,48 @@ def test_layer_exports_match_definitions():
                     ):
                         private += [f"{name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_layers_import_only_earlier_layers():
+    # the layer order groups -> grids -> pointsets -> kernels -> analysis ->
+    # frames -> cli: every import in a layer module, those inside functions
+    # included, names only layers before it
+    import ast
+
+    import groupsample
+
+    order = ("groups", "grids", "pointsets", "kernels", "analysis", "frames", "cli")
+    pkg = os.path.dirname(groupsample.__file__)
+    wrong = []
+    for i, layer in enumerate(order):
+        with open(os.path.join(pkg, f"{layer}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ("groupsample." if node.level else "") + (node.module or "")
+                mods = [base] if node.module else [f"groupsample.{a.name}" for a in node.names]
+            else:
+                continue
+            for mod in mods:
+                top, _, target = mod.partition(".")
+                if top == "groupsample" and target.split(".")[0] not in order[:i]:
+                    wrong.append(f"{layer}: {mod}")
+    assert wrong == []
+
+
+def test_checks_carry_their_basis(tmp_path):
+    # each verdict says what it rests on: an exact test, the grid nodes or a
+    # sample, with the sample sizes
+    def checks(experiment, model):
+        cfg = ExperimentConfig(experiment=experiment, model=model, outdir=str(tmp_path)).validate()
+        return {c["name"]: c for c in run_experiment(cfg)[0]["checks"]}
+
+    cert = checks("partition", "r1")["certificates"]
+    assert (cert["checked_on"], cert["overlap_test"]) == ("grid nodes", "exact")
+    osc = checks("oscillation", "r1")["osc-conv-inequality"]
+    # 14 node offsets inside B_0.5 at spacing 1/16, and 2 sphere points at 2 radii
+    assert (osc["checked_on"], osc["n_points"], osc["n_offsets"]) == ("sampled", 400, 18)
+    tiling = checks("quasilattice", "rn:2")["exact-tiling"]
+    assert (tiling["checked_on"], tiling["n_nodes"]) == ("grid nodes", 33**2)

@@ -32,6 +32,30 @@ def test_content_hash_sensitivity():
     assert a.content_hash() != d.content_hash()
 
 
+def test_support_keeps_nodes_above_a_share_of_the_largest_modulus():
+    g = Grid.regular(EuclideanModel(1), [0.0], [1.0], (6,))
+    vals = np.array([1.0, 2e-14, 5e-15, 0.0, -0.5j, 1e-13])
+    keep = [0, 1, 4, 5]
+    f = GridFunction(g, vals)
+    pts, w, v = f.support()
+    assert np.array_equal(pts, g.points()[keep])
+    assert np.array_equal(w, g.weights()[keep])
+    assert np.array_equal(v, vals[keep])
+    # the threshold scales with the function
+    assert np.array_equal((f * 1e-20).support()[2], vals[keep] * 1e-20)
+    assert [len(a) for a in GridFunction(g, np.zeros(6)).support()] == [0, 0, 0]
+
+
+def test_support_quadrature_matches_the_integral():
+    # no entry below the threshold: the support is every node, and its
+    # weights times values sum to the Haar quadrature of the function
+    g = Grid.regular(AffineModel(), [-1.0, -2.0], [1.0, 2.0], (12, 20))
+    f = GridFunction.from_callable(g, lambda a, b: (1.0 + b**2) * np.exp(1j * a))
+    pts, w, v = f.support()
+    assert len(v) == g.size
+    assert np.sum(w * v) == pytest.approx(np.sum(g.weights() * f.values), rel=1e-12)
+
+
 def test_gridfunction_norms():
     g = Grid.regular(EuclideanModel(1), [0.0], [1.0], (1000,))
     f = GridFunction.from_callable(g, lambda x: np.sin(2 * np.pi * x))

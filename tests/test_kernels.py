@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from groupsample import EuclideanModel, AffineModel, Grid, GridFunction, interpolate
+from groupsample import (
+    EuclideanModel,
+    AffineModel,
+    Grid,
+    GridFunction,
+    interpolate,
+    oscillation_l1_box,
+)
+from groupsample.frames import hypothesis_scan
 from groupsample.kernels import (
     BasisKernel,
     SincKernel,
@@ -14,7 +22,6 @@ from groupsample.kernels import (
     mexican_hats,
     wavelet_transform,
     cosine_taper_bump,
-    oscillation_l1_box,
     mollified_vector,
     WaveletSystem,
     _conv_hstar_at,
@@ -120,7 +127,7 @@ def test_oscillation_l1_box_constant():
 
 
 def test_mollified_vector_hypothesis_scan(wavelet_system):
-    scan = wavelet_system.hypothesis_scan((0.3, 0.2, 0.1))
+    scan = hypothesis_scan(wavelet_system, (0.3, 0.2, 0.1))
     eps = [row["epsilon"] for row in scan["rows"]]
     assert eps[0] > eps[1] > eps[2]
     assert scan["u_star"] is not None

@@ -103,7 +103,8 @@ def _tiling_reference(ps, c_lo, c_hi, shape):
         "quasi-lattice", float(np.max(c_hi - c_lo)), passed,
         witness=None if passed else x[int(np.argmax(counts != 1))],
         n_checked=len(x),
-        detail={"min_count": int(counts.min()), "max_count": int(counts.max())},
+        detail={"min_count": int(counts.min()), "max_count": int(counts.max()),
+                "checked_on": "grid nodes", "n_nodes": len(x)},
     )
 
 
