@@ -297,12 +297,12 @@ def sublaplacian_matrix(grid: Grid) -> sp.csr_matrix:
     return L.tocsr()
 
 
-def _lambda_max_estimate(L, iters=30, seed=0):
-    rng = np.random.default_rng(seed)
+def _lambda_max_estimate(L):
+    rng = np.random.default_rng(0)
     v = rng.normal(size=L.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(30):
         v = L @ v
         nrm = np.linalg.norm(v)
         if nrm == 0:

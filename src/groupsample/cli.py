@@ -6,11 +6,11 @@ Subcommands::
     groupsample sweep <config> --param {r,omega,grid} --values v1 v2 ...
     groupsample verify <pointset.csv> --sep S --dense R [--model ID]
 
-Config files are flat ``key = value`` text; unknown keys are rejected.  Each
-run writes ``report.json`` and ``table.csv`` (plus ``points.csv`` when a
-point set is central to the experiment) into the output directory.  Exit
-status: 0 when every check passes or is hypothesis-not-met, 1 on a check
-failure, 2 on usage or config errors.
+Config files are flat ``key = value`` text; a key or model the experiment
+does not read or run on is rejected (``_EXPERIMENTS``).  Each run writes
+``report.json`` and ``table.csv`` (plus ``points.csv`` for a central point
+set) into the output directory.  Exit status: 0 when every check passes or
+is hypothesis-not-met, 1 on a check failure, 2 on usage or config errors.
 
 The CLI is a thin layer: every number it prints comes from a library call.
 """
@@ -75,18 +75,7 @@ _SCALAR_KEYS = {
     "seed": int,
     "outdir": str,
 }
-# experiment -> the tolerance overrides its runner and its sweep trend read
-# with cfg.tol; no other tolerance is accepted for it
-_TOLERANCES = {
-    "shannon": ("tol_bounds", "tol_collapse", "tol_recon"),
-    "beurling-scan": ("tol_positive", "tol_collapse"),
-    "wavelet-frame": (),
-    "heisenberg": ("tol_angle", "tol_covariance"),
-    "partition": ("tol_bound",),
-    "quasilattice": (),
-    "oscillation": ("tol_violation",),
-    "constants": ("tol_comm", "tol_haar", "tol_spread"),
-}
+_H1_HALF = 7.0  # the H^1 experiments' chart box is [-_H1_HALF, _H1_HALF)^3
 
 
 class ConfigError(ValueError):
@@ -106,9 +95,10 @@ class ExperimentConfig:
     tolerances: dict = dataclasses.field(default_factory=dict)
 
     def validate(self):
-        if self.experiment not in _RUNNERS:
+        """Reject an unknown experiment, a value out of range, an unrun model, an unread key."""
+        if self.experiment not in _EXPERIMENTS:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; choose one of {', '.join(_RUNNERS)}"
+                f"unknown experiment {self.experiment!r}; choose one of {', '.join(_EXPERIMENTS)}"
             )
         for name in ("r", "s", "omega"):
             v = getattr(self, name)
@@ -116,12 +106,19 @@ class ExperimentConfig:
                 raise ConfigError(f"radius {name} must be positive and finite, got {v}")
         if self.resolution is not None and self.resolution < 3:
             raise ConfigError("grid resolution must be at least 3")
-        if self.model is not None:
-            try:
-                model_from_id(self.model)
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
+        models = _EXPERIMENTS[self.experiment][1]
+        if self.model_id not in models:
+            raise ConfigError(f"{self.experiment} runs on model {', '.join(models)}, not {self.model!r}")
+        read = {"experiment", "model", "seed", "outdir", *models[self.model_id]}
+        unread = [k for k in self.echo() if k not in read]
+        if unread:
+            raise ConfigError(f"{self.experiment} on {self.model_id} does not read {', '.join(unread)}")
         return self
+
+    @property
+    def model_id(self):
+        """``model``, or else the experiment's default (its first) model."""
+        return self.model or next(iter(_EXPERIMENTS[self.experiment][1]))
 
     def tol(self, name, default):
         return float(self.tolerances.get(name, default))
@@ -162,18 +159,14 @@ def _config_from_dict(raw):
     kwargs = {}
     tols = {}
     for key, value in raw.items():
-        if key in _SCALAR_KEYS:
-            try:
-                kwargs[key] = _SCALAR_KEYS[key](value)
-            except ValueError:
-                raise ConfigError(f"bad value for {key}: {value!r}") from None
-        elif key in _TOLERANCES.get(raw["experiment"], ()):
-            try:
-                tols[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"bad tolerance {key}: {value!r}") from None
-        else:
-            raise ConfigError(f"unknown config key {key!r} for experiment {raw['experiment']!r}")
+        # a tolerance is any tol_* key; validate() rejects one not read
+        kind = _SCALAR_KEYS.get(key, float if key.startswith("tol_") else None)
+        if kind is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            (kwargs if key in _SCALAR_KEYS else tols)[key] = kind(value)
+        except ValueError:
+            raise ConfigError(f"bad value for {key}: {value!r}") from None
     return ExperimentConfig(tolerances=tols, **kwargs).validate()
 
 
@@ -205,27 +198,28 @@ def _check(name, ok, **detail):
 # ---------------------------------------------------------------------------
 
 
-def _jittered_gamma_r(model, seed, u, w, half=32.0):
+def _jittered_gamma_r(model, seed, u, w):
     """Jittered 1-D lattice that is B_u-dense and whose B_w-balls are
-    disjoint on [-half, half): midpoint spacing stays below 0.95 u."""
+    disjoint on [-32, 32): midpoint spacing stays below 0.95 u."""
     rng = np.random.default_rng(seed)
     jit = 0.15 * (u - w)
     step_t = 2.0 * (0.95 * u - jit)
-    span = 2.0 * half - step_t
+    span = 64.0 - step_t
     n = math.ceil(span / step_t)
     step = span / n
-    base = -half + 0.5 * step + step * np.arange(n + 1)
+    base = -32.0 + 0.5 * step + step * np.arange(n + 1)
     pts = base + rng.uniform(-jit, jit, size=base.size)
-    pts = np.clip(pts, -half, half - 1e-9)
-    return PointSet(model, pts[:, None], [-half], [half])
+    pts = np.clip(pts, -32.0, 32.0 - 1e-9)
+    return PointSet(model, pts[:, None], [-32.0], [32.0])
 
 
-def _h1_jittered_lattice(model, seed, half=7.0, s=1.4):
-    """Jittered product lattice on the Heisenberg chart box [-half, half)^3.
+def _h1_jittered_lattice(model, seed):
+    """Jittered product lattice of spacing s = 1.4 on the Heisenberg chart box.
 
     The xy jitter is kept small because the group-law twist (x dy - y dx)/2
     feeds horizontal displacements into the central spacing s^2/2.
     """
+    half, s = _H1_HALF, 1.4
     rng = np.random.default_rng(seed)
     px = np.arange(-half, half + 1e-9, s)
     pt = np.arange(-half, half + 1e-9, s * s / 2.0)
@@ -253,11 +247,11 @@ def _random_smooth(grid, seed, spread):
     return GridFunction(grid, vals)
 
 
-def _h1_projector(cfg, half=7.0):
+def _h1_projector(cfg):
     """Band projector at omega (default 1) on the resolution^3 grid (default
-    33) over the chart box [-half, half)^3, through the cache."""
+    33) over the chart box, through the cache."""
     n = cfg.resolution if cfg.resolution is not None else 33
-    grid = Grid.regular(HeisenbergModel(), [-half] * 3, [half] * 3, (n,) * 3)
+    grid = Grid.regular(HeisenbergModel(), [-_H1_HALF] * 3, [_H1_HALF] * 3, (n,) * 3)
     omega = cfg.omega if cfg.omega is not None else 1.0
     return sublaplacian_spectrum(grid, omega, cache_dir=_cache_dir(cfg))
 
@@ -312,12 +306,15 @@ def _exp_shannon(cfg):
     rows = beurling_scan(kernel, (1.0, 0.5, 2.0))
     fb_c, fb_o, fb_u = (FrameBounds(row["a"], row["b"]) for row in rows)
     tol_b = cfg.tol("tol_bounds", 1e-3)
+    # the bounds are the exact eigenvalues of the grid kernel's finite frame
+    # operator, on its n_modes-dimensional space, not the continuum's
+    basis = {"checked_on": "discrete space", "n_modes": kernel.dim}
     checks = [
         _check("shannon-critical-bounds", abs(fb_c.a - 1) <= tol_b and abs(fb_c.b - 1) <= tol_b,
-               a=fb_c.a, b=fb_c.b),
+               a=fb_c.a, b=fb_c.b, **basis),
         _check("oversampling-bounds", abs(fb_o.a - 2) <= 5 * tol_b and abs(fb_o.b - 2) <= 5 * tol_b,
-               a=fb_o.a, b=fb_o.b),
-        _check("undersampling-collapse", fb_u.a < cfg.tol("tol_collapse", 1e-3), a=fb_u.a),
+               a=fb_o.a, b=fb_o.b, **basis),
+        _check("undersampling-collapse", fb_u.a < cfg.tol("tol_collapse", 1e-3), a=fb_u.a, **basis),
     ]
 
     # the gap-1 lattice covers the whole box, as in the scan
@@ -329,12 +326,13 @@ def _exp_shannon(cfg):
         f = kernel.synthesize(c)
         rec = sys_c.reconstruct(sys_c.sample(f), bounds=fb_c)
         worst = max(worst, (rec.function - f).norm_l2() / f.norm_l2())
-    checks.append(_check("shannon-reconstruction", worst < cfg.tol("tol_recon", 1e-6), worst_rel_err=worst))
+    checks.append(_check("shannon-reconstruction", worst < cfg.tol("tol_recon", 1e-6),
+                         worst_rel_err=worst, checked_on="sampled", n_functions=20))
 
     # oscillation envelope on ten random certified configurations
     egrid = Grid.regular(model, [-32.0], [32.0], (2048,))
     ekernel = SincKernel(egrid, 0.5)
-    env_ok, n_hyp = True, 0
+    env_ok, n_hyp, family_size = True, 0, None
     for k in range(10):
         crng = np.random.default_rng(1000 + cfg.seed + k)
         u = 0.2 + 0.15 * crng.random()
@@ -346,13 +344,13 @@ def _exp_shannon(cfg):
             {"r": u, "a": rep.get("a_emp", float("nan")), "b": rep.get("b_emp", float("nan")),
              "tightness": rep.get("tightness", float("nan"))}
         )
+        family_size = rep.get("family_size", family_size)  # absent when a certificate fails
         if rep["verdict"] == "hypothesis-not-met":
             n_hyp += 1
         elif rep["verdict"] != "pass":
             env_ok = False
-    checks.append(
-        _check("envelope-ten-configs", env_ok and n_hyp == 0, n_configs=10, n_hypothesis_not_met=n_hyp)
-    )
+    checks.append(_check("envelope-ten-configs", env_ok and n_hyp == 0, n_configs=10,
+                         n_hypothesis_not_met=n_hyp, checked_on="sampled", family_size=family_size))
     return checks, ("r", "a", "b", "tightness"), rows, ps_c
 
 
@@ -372,11 +370,11 @@ def _exp_beurling(cfg):
     targets = (1.0, 1.4, 2.0, 2.8, 3.5)
     rows = beurling_scan(kernel, [x / math.sqrt(omega) for x in targets])
     table = [{"r_sqrt_omega": x, **row} for x, row in zip(targets, rows)]
-    a14 = table[1]["a"]
-    a35 = table[4]["a"]
+    a14, a35 = table[1]["a"], table[4]["a"]
+    basis = {"checked_on": "discrete space", "n_modes": kernel.dim}  # as in shannon
     checks = [
-        _check("beurling-positive-below-threshold", a14 > cfg.tol("tol_positive", 1e-6), a=a14),
-        _check("beurling-collapse-above-threshold", a35 < cfg.tol("tol_collapse", 1e-3), a=a35),
+        _check("beurling-positive-below-threshold", a14 > cfg.tol("tol_positive", 1e-6), a=a14, **basis),
+        _check("beurling-collapse-above-threshold", a35 < cfg.tol("tol_collapse", 1e-3), a=a35, **basis),
     ]
     return checks, ("r_sqrt_omega", "r", "a", "b", "tightness", "n_points"), table, None
 
@@ -490,10 +488,7 @@ _PARTITION_MODELS = {
 
 
 def _exp_partition(cfg):
-    model_id = cfg.model or "r1"
-    if model_id not in _PARTITION_MODELS:
-        raise ConfigError("partition experiment runs on model r1 or heis1")
-    u, w, tol, setup = _PARTITION_MODELS[model_id]
+    u, w, tol, setup = _PARTITION_MODELS[cfg.model_id]
     u = cfg.r if cfg.r is not None else u
     w = cfg.s if cfg.s is not None else w
     if w > u:
@@ -524,8 +519,9 @@ def _exp_partition(cfg):
     checks = [
         _check("certificates", cert_ok, n_configs=10, checked_on=cd.detail["checked_on"],
                overlap_test=cs.detail["overlap_test"]),
-        _check("partition-invariants", inv_ok),
-        _check("quasi-interpolation-bound", worst <= tol, worst_violation=worst, tolerance=tol),
+        _check("partition-invariants", inv_ok, checked_on="grid nodes"),
+        _check("quasi-interpolation-bound", worst <= tol, worst_violation=worst, tolerance=tol,
+               checked_on="sampled"),
     ]
     return checks, ("config", "func", "lhs", "rhs", "margin"), rows, ps
 
@@ -538,34 +534,28 @@ _QL_DEFAULTS = {
 
 
 def _exp_quasilattice(cfg):
-    model_id = cfg.model or "rn:2"
-    if model_id not in _QL_DEFAULTS:
-        raise ConfigError("quasilattice experiment runs on model rn:2, affine, or heis1")
-    model = model_from_id(model_id)
-    base_range, ell_range = _QL_DEFAULTS[model_id]
+    model = model_from_id(cfg.model_id)
+    base_range, ell_range = _QL_DEFAULTS[cfg.model_id]
     ps, (c_lo, c_hi) = quasilattice_semidirect(model, base_range, ell_range)
     cert = tiling_check(ps, c_lo, c_hi, shape=33)
-    rows = [{"model": model_id, "n_points": len(ps), **cert.detail}]
+    rows = [{"model": cfg.model_id, "n_points": len(ps), **cert.detail}]
     checks = [_check("exact-tiling", cert.passed, **cert.detail)]
     return checks, ("model", "n_points", "min_count", "max_count"), rows, ps
 
 
 def _exp_oscillation(cfg):
-    model_id = cfg.model or "r1"
-    if model_id == "r1":
+    if cfg.model_id == "r1":
         grid = Grid.regular(EuclideanModel(1), [-16.0], [16.0], (512,))
         r = cfg.r if cfg.r is not None else 0.5
         tol = cfg.tol("tol_violation", 1e-6)
         spread = 4.0
-    elif model_id == "heis1":
+    else:  # heis1
         model = HeisenbergModel()
         n = cfg.resolution if cfg.resolution is not None else 25
         grid = Grid.regular(model, [-6.0] * 3, [6.0] * 3, (n,) * 3)
         r = cfg.r if cfg.r is not None else 0.4
         tol = cfg.tol("tol_violation", 1e-4)
         spread = 1.5
-    else:
-        raise ConfigError("oscillation experiment runs on model r1 or heis1")
     rows = []
     worst = -math.inf
     for k in range(20):
@@ -621,18 +611,6 @@ def _exp_constants(cfg):
     return checks, ("r", "max_ratio", "ratio_over_r", "bound"), rows, None
 
 
-_RUNNERS = {
-    "shannon": _exp_shannon,
-    "beurling-scan": _exp_beurling,
-    "wavelet-frame": _exp_wavelet,
-    "heisenberg": _exp_heisenberg,
-    "partition": _exp_partition,
-    "quasilattice": _exp_quasilattice,
-    "oscillation": _exp_oscillation,
-    "constants": _exp_constants,
-}
-
-
 def _cache_dir(cfg):
     """Cache location: GROUPSAMPLE_CACHE overrides the per-run default, so
     repeated runs can share eigensolves."""
@@ -662,7 +640,7 @@ def _report(experiment, config, checks, start, **extra):
 def run_experiment(cfg):
     """Execute one experiment; returns (report dict, header, rows, pointset)."""
     start = _start()
-    checks, header, rows, pointset = _RUNNERS[cfg.experiment](cfg)
+    checks, header, rows, pointset = _EXPERIMENTS[cfg.experiment][0](cfg)
     return _report(cfg.experiment, cfg.echo(), checks, start), header, rows, pointset
 
 
@@ -745,27 +723,38 @@ def _completed_trend(cfg, vals, rows):
     return _check("sweep-completed", len(rows) == len(vals), n_rows=len(rows))
 
 
-# experiment -> (the sweep parameters its rows read, row of one value,
-# trend check per parameter; other parameters get _completed_trend)
-_SWEEPS = {
-    "shannon": (("r", "grid"), _shannon_sweep_row, {"r": _tightness_trend}),
-    "beurling-scan": (("r", "omega"), _beurling_sweep_row, {"r": _lower_bound_trend}),
-    "heisenberg": (("r", "omega", "grid"), _heisenberg_sweep_row, {"omega": _covariance_trend}),
+# experiment -> (runner, {model: the keys its runner and its sweep read on
+# that model beyond experiment, seed and outdir}, sweep or None); the first
+# model is the default, and a sweep is (row of one value, {param: trend
+# check}) with _completed_trend for the other parameters it reads
+_EXPERIMENTS = {
+    "shannon": (_exp_shannon, {"r1": ("r", "resolution", "tol_bounds", "tol_collapse", "tol_recon")},
+                (_shannon_sweep_row, {"r": _tightness_trend})),
+    "beurling-scan": (_exp_beurling, {"r1": ("r", "omega", "tol_positive", "tol_collapse")},
+                      (_beurling_sweep_row, {"r": _lower_bound_trend})),
+    "wavelet-frame": (_exp_wavelet, {"affine": ()}, None),
+    "heisenberg": (_exp_heisenberg,
+                   {"heis1": ("r", "resolution", "omega", "tol_angle", "tol_covariance")},
+                   (_heisenberg_sweep_row, {"omega": _covariance_trend})),
+    "partition": (_exp_partition, {"r1": ("r", "s", "tol_bound"),
+                                   "heis1": ("r", "s", "resolution", "omega", "tol_bound")}, None),
+    "quasilattice": (_exp_quasilattice, {m: () for m in _QL_DEFAULTS}, None),
+    "oscillation": (_exp_oscillation, {"r1": ("r", "tol_violation"),
+                                       "heis1": ("r", "resolution", "tol_violation")}, None),
+    "constants": (_exp_constants,
+                  {"heis1": ("resolution", "omega", "tol_comm", "tol_haar", "tol_spread")}, None),
 }
-_SWEEP_PARAMS = ("r", "omega", "grid")
 
 
 def run_sweep(cfg, param, values):
     """One row per value of ``param`` (``grid`` sets the resolution), then
     the trend check; returns (report dict, header, rows, None).  Each value
-    is parsed and validated like a config file entry before the first row."""
-    if cfg.experiment not in _SWEEPS:
+    is parsed and validated like a config file entry before the first row,
+    so a parameter the experiment does not read stops the sweep there."""
+    sweep = _EXPERIMENTS[cfg.experiment][2]
+    if sweep is None:
         raise ConfigError(f"experiment {cfg.experiment!r} has no sweep mode")
-    params, row_of, trends = _SWEEPS[cfg.experiment]
-    if param not in params:
-        raise ConfigError(
-            f"{cfg.experiment} does not read {param!r}; its sweep parameters are {', '.join(params)}"
-        )
+    row_of, trends = sweep
     key = "resolution" if param == "grid" else param
     subs = [_config_from_dict({**cfg.echo(), key: v}) for v in values]
     vals = [float(getattr(sub, key)) for sub in subs]
@@ -826,7 +815,7 @@ def _build_parser():
 
     psw = sub.add_parser("sweep", help="run a parameter sweep")
     psw.add_argument("config")
-    psw.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
+    psw.add_argument("--param", required=True, choices=("r", "omega", "grid"))
     psw.add_argument("--values", required=True, nargs="+")
     psw.add_argument("-o", "--override", action="append", default=[],
                      metavar="KEY=VALUE")

@@ -78,9 +78,9 @@ def test_parse_config_requires_experiment(tmp_path):
 
 def test_parse_config_overrides(tmp_path):
     path = _write(tmp_path, "experiment = shannon\nseed = 1\n")
-    cfg = parse_config(path, overrides=["seed=9", "omega = 2.0"])
+    cfg = parse_config(path, overrides=["seed=9", "r = 2.0"])
     assert cfg.seed == 9
-    assert cfg.omega == 2.0
+    assert cfg.r == 2.0
 
 
 def test_version_hash_stable():
@@ -217,9 +217,10 @@ def test_sweep_rejects_parameter_not_read(tmp_path, experiment, param):
 def test_sweep_rejects_non_integer_grid_before_any_row(tmp_path, monkeypatch):
     # a grid value is a node count: 9.5 must not run as 9 labelled 9.5; and
     # every value is checked as a config value before the first row runs
-    params, _, trends = cli._SWEEPS["shannon"]
+    runner, models, (_, trends) = cli._EXPERIMENTS["shannon"]
     calls = []
-    monkeypatch.setitem(cli._SWEEPS, "shannon", (params, lambda c: calls.append(c) or {}, trends))
+    monkeypatch.setitem(cli._EXPERIMENTS, "shannon",
+                        (runner, models, (lambda c: calls.append(c) or {}, trends)))
     out = tmp_path / "out"
     path = _write(tmp_path, f"experiment = shannon\noutdir = {out}\n")
     for param, values in (("grid", ["17", "9.5"]), ("grid", ["17", "17.0"]),
@@ -264,6 +265,72 @@ def test_tolerance_of_another_experiment_is_rejected(tmp_path):
     assert main(["run", path, "-o", "tol_positive=1e-6"]) == 0
 
 
+@pytest.mark.parametrize("config,named", [
+    ("experiment = heisenberg\nmodel = r1\nresolution = 9\n", "not 'r1'"),
+    ("experiment = constants\nmodel = r1\n", "not 'r1'"),
+    ("experiment = shannon\nmodel = heis1\n", "not 'heis1'"),
+    ("experiment = quasilattice\nr = 5\n", "does not read r"),
+    ("experiment = quasilattice\nomega = 3\n", "does not read omega"),
+    ("experiment = partition\nmodel = r1\nresolution = 9\n", "does not read resolution"),
+    ("experiment = oscillation\nmodel = r1\nresolution = 9\n", "does not read resolution"),
+    ("experiment = wavelet-frame\nomega = 2\n", "does not read omega"),
+    ("experiment = beurling-scan\ns = 0.3\n", "does not read s"),
+], ids=lambda v: v.replace(" = ", "=").replace("\n", " ").strip())
+def test_unread_key_or_unrun_model_is_rejected(tmp_path, monkeypatch, capsys, config, named):
+    # heisenberg model=r1 used to compute on H^1 and echo model r1; a key
+    # the experiment does not read used to be echoed as if it had been
+    raw = dict(line.split(" = ") for line in config.splitlines())
+    with pytest.raises(ConfigError, match=named):
+        cli._config_from_dict(raw)
+    calls = []
+    monkeypatch.setattr(cli, "sublaplacian_spectrum", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, f"{config}outdir = {out}\n")]) == 2
+    assert named in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_every_registered_model_runs_with_every_key_it_reads():
+    values = {"resolution": 9, "r": 0.5, "s": 0.25, "omega": 1.0}
+    for experiment, (_, models, _) in cli._EXPERIMENTS.items():
+        assert ExperimentConfig(experiment=experiment).validate().model_id == next(iter(models))
+        for model, keys in models.items():
+            cfg = ExperimentConfig(experiment=experiment, model=model,
+                                   tolerances={k: 1.0 for k in keys if k.startswith("tol_")},
+                                   **{k: values[k] for k in keys if k in values})
+            assert cfg.validate().model_id == model
+    # the runners' per-model tables cover the registered models
+    assert list(cli._PARTITION_MODELS) == list(cli._EXPERIMENTS["partition"][1])
+    assert list(cli._QL_DEFAULTS) == list(cli._EXPERIMENTS["quasilattice"][1])
+    # the acceptance suite names the default model of constants
+    assert ExperimentConfig(experiment="constants", model="heis1").validate().model_id == "heis1"
+
+
+def test_readme_experiment_table_matches_the_registry():
+    # each row: experiment, models sharing one key set, the keys read, and
+    # the sweep parameters (those of r, omega, grid the experiment reads)
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index(
+        "| experiment | models (default first) | keys read | sweep parameters | trend check |")
+    listed = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        (experiment,), models, keys, params, _ = (
+            re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|"))
+        _, registered, sweep = cli._EXPERIMENTS[experiment]
+        for model in models:
+            assert sorted(keys) == sorted(registered[model]), (experiment, model)
+            read = [p for p in ("r", "omega", "grid")
+                    if ("resolution" if p == "grid" else p) in registered[model]]
+            assert params == (read if sweep else []), (experiment, model)
+        listed.setdefault(experiment, []).extend(models)
+    assert listed == {e: list(models) for e, (_, models, _) in cli._EXPERIMENTS.items()}
+
+
 def test_tolerance_keys_are_the_names_the_experiments_read():
     import ast
 
@@ -274,7 +341,9 @@ def test_tolerance_keys_are_the_names_the_experiments_read():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "tol"
     ]
-    assert sorted(set().union(*cli._TOLERANCES.values())) == sorted(set(read))
+    registered = {key for _, models, _ in cli._EXPERIMENTS.values()
+                  for keys in models.values() for key in keys if key.startswith("tol_")}
+    assert sorted(registered) == sorted(set(read))
 
 
 def test_line_experiments_match_reference(tmp_path):
@@ -505,10 +574,31 @@ def test_checks_carry_their_basis(tmp_path):
         cfg = ExperimentConfig(experiment=experiment, model=model, outdir=str(tmp_path)).validate()
         return {c["name"]: c for c in run_experiment(cfg)[0]["checks"]}
 
-    cert = checks("partition", "r1")["certificates"]
-    assert (cert["checked_on"], cert["overlap_test"]) == ("grid nodes", "exact")
-    osc = checks("oscillation", "r1")["osc-conv-inequality"]
+    runs = {experiment: checks(experiment, model) for experiment, model in (
+        ("shannon", None), ("beurling-scan", None), ("partition", "r1"), ("oscillation", "r1"),
+        ("quasilattice", "rn:2"))}
+    # every check of every line experiment
+    assert [(e, n) for e, run in runs.items() for n, c in run.items() if "checked_on" not in c] == []
+    # frame bounds: exact eigenvalues of the grid kernel's finite frame operator
+    for experiment, names, n_modes in (
+            ("shannon", ("shannon-critical-bounds", "oversampling-bounds", "undersampling-collapse"), 127),
+            ("beurling-scan", ("beurling-positive-below-threshold",
+                               "beurling-collapse-above-threshold"), 63)):
+        for name in names:
+            c = runs[experiment][name]
+            assert (c["checked_on"], c["n_modes"]) == ("discrete space", n_modes), name
+    rec = runs["shannon"]["shannon-reconstruction"]
+    assert (rec["checked_on"], rec["n_functions"]) == ("sampled", 20)
+    # 50 random elements, 3 reproducing vectors and 6 band-edge modes
+    env = runs["shannon"]["envelope-ten-configs"]
+    assert (env["checked_on"], env["family_size"]) == ("sampled", 59)
+    part = runs["partition"]
+    assert (part["certificates"]["checked_on"], part["certificates"]["overlap_test"]) == (
+        "grid nodes", "exact")
+    assert part["partition-invariants"]["checked_on"] == "grid nodes"
+    assert part["quasi-interpolation-bound"]["checked_on"] == "sampled"
+    osc = runs["oscillation"]["osc-conv-inequality"]
     # 14 node offsets inside B_0.5 at spacing 1/16, and 2 sphere points at 2 radii
     assert (osc["checked_on"], osc["n_points"], osc["n_offsets"]) == ("sampled", 400, 18)
-    tiling = checks("quasilattice", "rn:2")["exact-tiling"]
+    tiling = runs["quasilattice"]["exact-tiling"]
     assert (tiling["checked_on"], tiling["n_nodes"]) == ("grid nodes", 33**2)
