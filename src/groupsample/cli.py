@@ -6,8 +6,9 @@ Subcommands::
     groupsample sweep <config> --param {r,omega,grid} --values v1 v2 ...
     groupsample verify <pointset.csv> --sep S --dense R [--model ID]
 
-Config files are flat ``key = value`` text; a key or model the experiment
-does not read or run on is rejected (``_EXPERIMENTS``).  Each run writes
+Config files are flat ``key = value`` text; a model the experiment does not
+run on, or a key its run (or sweep) does not read, is rejected
+(``_EXPERIMENTS``).  Each check's bound is fixed in the code.  Each run writes
 ``report.json`` and ``table.csv`` (plus ``points.csv`` for a central point
 set) into the output directory.  Exit status: 0 when every check passes or
 is hypothesis-not-met, 1 on a check failure, 2 on usage or config errors.
@@ -92,10 +93,14 @@ class ExperimentConfig:
     omega: float | None = None
     seed: int = 0
     outdir: str = "out"
-    tolerances: dict = dataclasses.field(default_factory=dict)
 
     def validate(self):
-        """Reject an unknown experiment, a value out of range, an unrun model, an unread key."""
+        """Reject an unknown experiment, a value out of range, an unrun model,
+        and a key the run does not read on that model."""
+        return self._validate(False)
+
+    def _validate(self, sweep):
+        # a sweep reads the parameters it varies (grid sets resolution)
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; choose one of {', '.join(_EXPERIMENTS)}"
@@ -106,13 +111,16 @@ class ExperimentConfig:
                 raise ConfigError(f"radius {name} must be positive and finite, got {v}")
         if self.resolution is not None and self.resolution < 3:
             raise ConfigError("grid resolution must be at least 3")
-        models = _EXPERIMENTS[self.experiment][1]
+        _, models, params = _EXPERIMENTS[self.experiment]
         if self.model_id not in models:
             raise ConfigError(f"{self.experiment} runs on model {', '.join(models)}, not {self.model!r}")
-        read = {"experiment", "model", "seed", "outdir", *models[self.model_id]}
-        unread = [k for k in self.echo() if k not in read]
+        if sweep and params is None:
+            raise ConfigError(f"experiment {self.experiment!r} has no sweep mode")
+        keys = ["resolution" if p == "grid" else p for p in params[1]] if sweep else models[self.model_id]
+        unread = [k for k in self.echo() if k not in {"experiment", "model", "seed", "outdir", *keys}]
         if unread:
-            raise ConfigError(f"{self.experiment} on {self.model_id} does not read {', '.join(unread)}")
+            reader = f"the {self.experiment} sweep" if sweep else f"{self.experiment} on {self.model_id}"
+            raise ConfigError(f"{reader} does not read {', '.join(unread)}")
         return self
 
     @property
@@ -120,17 +128,17 @@ class ExperimentConfig:
         """``model``, or else the experiment's default (its first) model."""
         return self.model or next(iter(_EXPERIMENTS[self.experiment][1]))
 
-    def tol(self, name, default):
-        return float(self.tolerances.get(name, default))
-
     def echo(self):
-        d = {k: v for k, v in dataclasses.asdict(self).items() if k != "tolerances"}
-        d.update(self.tolerances)
-        return {k: v for k, v in sorted(d.items()) if v is not None}
+        return {k: v for k, v in sorted(dataclasses.asdict(self).items()) if v is not None}
 
 
 def parse_config(path, overrides=()):
-    """Flat key=value file; '#' starts a comment; unknown keys rejected."""
+    """A run's config: a flat key=value file, then the overrides."""
+    return _config_from_dict(_read_config(path, overrides)).validate()
+
+
+def _read_config(path, overrides):
+    """Flat key=value file, then the key=value overrides; '#' starts a comment."""
     raw = {}
     try:
         with open(path) as fh:
@@ -150,24 +158,21 @@ def parse_config(path, overrides=()):
             raise ConfigError(f"override {item!r} must have the form key=value")
         key, value = (part.strip() for part in item.split("=", 1))
         raw[key] = value
-    return _config_from_dict(raw)
+    return raw
 
 
 def _config_from_dict(raw):
     if "experiment" not in raw:
         raise ConfigError("config must set 'experiment'")
     kwargs = {}
-    tols = {}
     for key, value in raw.items():
-        # a tolerance is any tol_* key; validate() rejects one not read
-        kind = _SCALAR_KEYS.get(key, float if key.startswith("tol_") else None)
-        if kind is None:
+        if key not in _SCALAR_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            (kwargs if key in _SCALAR_KEYS else tols)[key] = kind(value)
+            kwargs[key] = _SCALAR_KEYS[key](value)
         except ValueError:
             raise ConfigError(f"bad value for {key}: {value!r}") from None
-    return ExperimentConfig(tolerances=tols, **kwargs).validate()
+    return ExperimentConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +261,13 @@ def _h1_projector(cfg):
     return sublaplacian_spectrum(grid, omega, cache_dir=_cache_dir(cfg))
 
 
-def haar_scaling_ratio(model, t=1.3, n=4_000_000, seed=0):
+def haar_scaling_ratio(model, t, seed):
     """Measure ratio |delta_t B_1| / |B_1| by Monte Carlo over one shared
     bounding box, so the homogeneity exponent is produced by the geometry
     and not by a change of variables."""
     rng = np.random.default_rng(seed)
     box = np.array([t, t, t * t / 4.0])
-    pts = rng.uniform(-1.0, 1.0, size=(n, 3)) * box
+    pts = rng.uniform(-1.0, 1.0, size=(4_000_000, 3)) * box
     g = model.norm(pts)
     c1 = np.count_nonzero(g <= 1.0)
     ct = np.count_nonzero(g <= t)
@@ -305,16 +310,15 @@ def _exp_shannon(cfg):
     # critical, over- and undersampled gaps
     rows = beurling_scan(kernel, (1.0, 0.5, 2.0))
     fb_c, fb_o, fb_u = (FrameBounds(row["a"], row["b"]) for row in rows)
-    tol_b = cfg.tol("tol_bounds", 1e-3)
     # the bounds are the exact eigenvalues of the grid kernel's finite frame
     # operator, on its n_modes-dimensional space, not the continuum's
     basis = {"checked_on": "discrete space", "n_modes": kernel.dim}
     checks = [
-        _check("shannon-critical-bounds", abs(fb_c.a - 1) <= tol_b and abs(fb_c.b - 1) <= tol_b,
+        _check("shannon-critical-bounds", abs(fb_c.a - 1) <= 1e-3 and abs(fb_c.b - 1) <= 1e-3,
                a=fb_c.a, b=fb_c.b, **basis),
-        _check("oversampling-bounds", abs(fb_o.a - 2) <= 5 * tol_b and abs(fb_o.b - 2) <= 5 * tol_b,
+        _check("oversampling-bounds", abs(fb_o.a - 2) <= 5e-3 and abs(fb_o.b - 2) <= 5e-3,
                a=fb_o.a, b=fb_o.b, **basis),
-        _check("undersampling-collapse", fb_u.a < cfg.tol("tol_collapse", 1e-3), a=fb_u.a, **basis),
+        _check("undersampling-collapse", fb_u.a < 1e-3, a=fb_u.a, **basis),
     ]
 
     # the gap-1 lattice covers the whole box, as in the scan
@@ -326,7 +330,7 @@ def _exp_shannon(cfg):
         f = kernel.synthesize(c)
         rec = sys_c.reconstruct(sys_c.sample(f), bounds=fb_c)
         worst = max(worst, (rec.function - f).norm_l2() / f.norm_l2())
-    checks.append(_check("shannon-reconstruction", worst < cfg.tol("tol_recon", 1e-6),
+    checks.append(_check("shannon-reconstruction", worst < 1e-6,
                          worst_rel_err=worst, checked_on="sampled", n_functions=20))
 
     # oscillation envelope on ten random certified configurations
@@ -373,8 +377,8 @@ def _exp_beurling(cfg):
     a14, a35 = table[1]["a"], table[4]["a"]
     basis = {"checked_on": "discrete space", "n_modes": kernel.dim}  # as in shannon
     checks = [
-        _check("beurling-positive-below-threshold", a14 > cfg.tol("tol_positive", 1e-6), a=a14, **basis),
-        _check("beurling-collapse-above-threshold", a35 < cfg.tol("tol_collapse", 1e-3), a=a35, **basis),
+        _check("beurling-positive-below-threshold", a14 > 1e-6, a=a14, **basis),
+        _check("beurling-collapse-above-threshold", a35 < 1e-3, a=a35, **basis),
     ]
     return checks, ("r_sqrt_omega", "r", "a", "b", "tightness", "n_points"), table, None
 
@@ -446,7 +450,7 @@ def _exp_heisenberg(cfg):
                ratio_min=rep["ratio_min"], a_pred=rep["a_pred"], dilation=rep["dilation"],
                c_g=rep["c_g"]),
         _check("dilation-covariance-angle",
-               rep["dilation_angle"] <= cfg.tol("tol_angle", 5e-2),
+               rep["dilation_angle"] <= 5e-2,
                angle=rep["dilation_angle"]),
     ]
     return checks, ("k", "ratio", "a_pred"), rows, None
@@ -493,7 +497,6 @@ def _exp_partition(cfg):
     w = cfg.s if cfg.s is not None else w
     if w > u:
         raise ConfigError(f"partition needs s <= r (W inside U), got s = {w} and r = {u}")
-    tol = cfg.tol("tol_bound", tol)
     points, funcs, dense_shape, partition_shape = setup(cfg, u, w)
     rows = []
     cert_ok = inv_ok = True
@@ -547,14 +550,14 @@ def _exp_oscillation(cfg):
     if cfg.model_id == "r1":
         grid = Grid.regular(EuclideanModel(1), [-16.0], [16.0], (512,))
         r = cfg.r if cfg.r is not None else 0.5
-        tol = cfg.tol("tol_violation", 1e-6)
+        tol = 1e-6
         spread = 4.0
     else:  # heis1
         model = HeisenbergModel()
         n = cfg.resolution if cfg.resolution is not None else 25
         grid = Grid.regular(model, [-6.0] * 3, [6.0] * 3, (n,) * 3)
         r = cfg.r if cfg.r is not None else 0.4
-        tol = cfg.tol("tol_violation", 1e-4)
+        tol = 1e-4
         spread = 1.5
     rows = []
     worst = -math.inf
@@ -590,10 +593,10 @@ def _exp_constants(cfg):
     checks.append(_check("bernstein-eigenbasis", worst <= omega * (1 + 1e-9),
                          max_ratio=worst, omega=omega))
     res = commutator_residual()
-    checks.append(_check("commutator-xy-t", res < cfg.tol("tol_comm", 1e-3), residual=res))
+    checks.append(_check("commutator-xy-t", res < 1e-3, residual=res))
     t = 1.3
-    ratio = haar_scaling_ratio(model, t=t, seed=cfg.seed)
-    checks.append(_check("haar-scaling", abs(ratio / t**4 - 1.0) < cfg.tol("tol_haar", 1e-2),
+    ratio = haar_scaling_ratio(model, t, cfg.seed)
+    checks.append(_check("haar-scaling", abs(ratio / t**4 - 1.0) < 1e-2,
                          ratio=ratio, expected=t**4))
     c_g, b_verified = oscillation_constant(proj, _cache_dir(cfg))
     scal = oscillation_scaling_check(proj, (0.1, 0.2, 0.4), seed=cfg.seed)
@@ -605,7 +608,7 @@ def _exp_constants(cfg):
     checks.append(_check("osc-scaling-bound", all(row["max_ratio"] <= row["bound"] for row in rows),
                          c_g=c_g, b_verified=b_verified))
     checks.append(_check("osc-scaling-linearity",
-                         scal["ratio_over_r_spread"] < cfg.tol("tol_spread", 0.25),
+                         scal["ratio_over_r_spread"] < 0.25,
                          spread=scal["ratio_over_r_spread"], slope=scal["slope"],
                          r_squared=scal["r_squared"]))
     return checks, ("r", "max_ratio", "ratio_over_r", "bound"), rows, None
@@ -698,70 +701,63 @@ def _heisenberg_sweep_row(cfg):
             "tightness": rep["ratio_min"] / rep["a_pred"]}
 
 
-def _tightness_trend(cfg, vals, rows):
+def _tightness_trend(vals, rows):
     # denser sets tighten the frame: tightness nonincreasing as r decreases
     t = [rows[i]["tightness"] for i in np.argsort(vals)[::-1]]
     ok = all(t[i + 1] <= t[i] + 1e-6 for i in range(len(t) - 1))
     return _check("tightness-nonincreasing", ok, tightness_by_decreasing_r=t)
 
 
-def _lower_bound_trend(cfg, vals, rows):
+def _lower_bound_trend(vals, rows):
     a = [rows[i]["a"] for i in np.argsort(vals)]
     ok = all(a[i + 1] <= a[i] + 1e-6 for i in range(len(a) - 1))
     return _check("lower-bound-nonincreasing", ok, a_by_increasing_r=a)
 
 
-def _covariance_trend(cfg, vals, rows):
+def _covariance_trend(vals, rows):
     # dilation covariance: ratio_min / a_pred invariant across omega
     norm = [row["tightness"] for row in rows]
     spread = (max(norm) - min(norm)) / max(norm) if norm else 0.0
-    return _check("covariance-normalized-ratio", spread < cfg.tol("tol_covariance", 0.15),
+    return _check("covariance-normalized-ratio", spread < 0.15,
                   normalized=norm, spread=spread)
 
 
-def _completed_trend(cfg, vals, rows):
+def _completed_trend(vals, rows):
     return _check("sweep-completed", len(rows) == len(vals), n_rows=len(rows))
 
 
-# experiment -> (runner, {model: the keys its runner and its sweep read on
-# that model beyond experiment, seed and outdir}, sweep or None); the first
-# model is the default, and a sweep is (row of one value, {param: trend
-# check}) with _completed_trend for the other parameters it reads
+# experiment -> (runner, {model: the keys its runner reads on that model
+# beyond experiment, seed and outdir}, sweep or None); the first model is the
+# default, and a sweep is (row of one value, {param: trend check}) over every
+# parameter it varies, on any model
 _EXPERIMENTS = {
-    "shannon": (_exp_shannon, {"r1": ("r", "resolution", "tol_bounds", "tol_collapse", "tol_recon")},
-                (_shannon_sweep_row, {"r": _tightness_trend})),
-    "beurling-scan": (_exp_beurling, {"r1": ("r", "omega", "tol_positive", "tol_collapse")},
-                      (_beurling_sweep_row, {"r": _lower_bound_trend})),
+    "shannon": (_exp_shannon, {"r1": ()},
+                (_shannon_sweep_row, {"r": _tightness_trend, "grid": _completed_trend})),
+    "beurling-scan": (_exp_beurling, {"r1": ("omega",)},
+                      (_beurling_sweep_row, {"r": _lower_bound_trend, "omega": _completed_trend})),
     "wavelet-frame": (_exp_wavelet, {"affine": ()}, None),
-    "heisenberg": (_exp_heisenberg,
-                   {"heis1": ("r", "resolution", "omega", "tol_angle", "tol_covariance")},
-                   (_heisenberg_sweep_row, {"omega": _covariance_trend})),
-    "partition": (_exp_partition, {"r1": ("r", "s", "tol_bound"),
-                                   "heis1": ("r", "s", "resolution", "omega", "tol_bound")}, None),
+    "heisenberg": (_exp_heisenberg, {"heis1": ("r", "resolution", "omega")},
+                   (_heisenberg_sweep_row, {"r": _completed_trend, "omega": _covariance_trend,
+                                            "grid": _completed_trend})),
+    "partition": (_exp_partition, {"r1": ("r", "s"), "heis1": ("r", "s", "resolution", "omega")}, None),
     "quasilattice": (_exp_quasilattice, {m: () for m in _QL_DEFAULTS}, None),
-    "oscillation": (_exp_oscillation, {"r1": ("r", "tol_violation"),
-                                       "heis1": ("r", "resolution", "tol_violation")}, None),
-    "constants": (_exp_constants,
-                  {"heis1": ("resolution", "omega", "tol_comm", "tol_haar", "tol_spread")}, None),
+    "oscillation": (_exp_oscillation, {"r1": ("r",), "heis1": ("r", "resolution")}, None),
+    "constants": (_exp_constants, {"heis1": ("resolution", "omega")}, None),
 }
 
 
 def run_sweep(cfg, param, values):
     """One row per value of ``param`` (``grid`` sets the resolution), then
     the trend check; returns (report dict, header, rows, None).  Each value
-    is parsed and validated like a config file entry before the first row,
-    so a parameter the experiment does not read stops the sweep there."""
-    sweep = _EXPERIMENTS[cfg.experiment][2]
-    if sweep is None:
-        raise ConfigError(f"experiment {cfg.experiment!r} has no sweep mode")
-    row_of, trends = sweep
+    is parsed and validated like a sweep's config entry before the first
+    row, so a parameter the sweep does not vary stops it there."""
     key = "resolution" if param == "grid" else param
-    subs = [_config_from_dict({**cfg.echo(), key: v}) for v in values]
+    subs = [_config_from_dict({**cfg.echo(), key: v})._validate(True) for v in values]
+    row_of, trends = _EXPERIMENTS[cfg.experiment][2]
     vals = [float(getattr(sub, key)) for sub in subs]
     start = _start()
     rows = [{param: v, **row_of(sub)} for v, sub in zip(vals, subs)]
-    check = trends.get(param, _completed_trend)(cfg, vals, rows)
-    report = _report(cfg.experiment, cfg.echo(), [check], start,
+    report = _report(cfg.experiment, cfg.echo(), [trends[param](vals, rows)], start,
                      sweep={"param": param, "values": vals})
     return report, (param, "a", "b", "tightness"), rows, None
 
@@ -836,13 +832,14 @@ def main(argv=None):
         if args.command == "verify":
             dest = args  # _emit reads only .outdir
             out = run_verify(args.pointset, args.model, args.sep, args.dense)
-        else:
+        elif args.command == "run":
             dest = parse_config(args.config, args.override)
             dest.outdir = args.outdir or dest.outdir
-            if args.command == "run":
-                out = run_experiment(dest)
-            else:
-                out = run_sweep(dest, args.param, args.values)
+            out = run_experiment(dest)
+        else:
+            dest = _config_from_dict(_read_config(args.config, args.override))
+            dest.outdir = args.outdir or dest.outdir
+            out = run_sweep(dest, args.param, args.values)
         _emit(dest, *out)
     except ValueError as e:  # ConfigError included
         print(f"error: {e}", file=sys.stderr)

@@ -294,7 +294,7 @@ def lattice_sum_squares(f: GridFunction, steps) -> float:
 
 
 def heisenberg_sampling_experiment(
-    proj: SpectralProjector, c_g: float, x_target: float = 0.9, seed: int = 0
+    proj: SpectralProjector, c_g: float, x_target: float, seed: int = 0
 ) -> dict:
     """Lower frame bound of the dilated integer-type lattice over 8 random
     band elements against the band-space envelope.

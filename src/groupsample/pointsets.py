@@ -64,16 +64,12 @@ class PointSet:
         np.savetxt(path, self.points, delimiter=",", header=header, comments="")
 
     @classmethod
-    def from_csv(cls, path, model, lo=None, hi=None):
+    def from_csv(cls, path, model):
         pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if not len(pts):
             raise ValueError(f"{path} holds no points")
         u = model.to_internal(pts)
-        if lo is None:
-            lo = u.min(axis=0)
-        if hi is None:
-            hi = u.max(axis=0) + 1e-9
-        return cls(model, pts, lo, hi)
+        return cls(model, pts, u.min(axis=0), u.max(axis=0) + 1e-9)
 
 
 @dataclass
@@ -368,7 +364,7 @@ def quasilattice_semidirect(model, base_range, ell_range):
     raise ValueError("no semidirect construction for this model")
 
 
-def tiling_check(ps: PointSet, c_lo, c_hi, shape=48) -> Certificate:
+def tiling_check(ps: PointSet, c_lo, c_hi, shape) -> Certificate:
     """Gamma C covers the region disjointly: every grid node lies in exactly
     one translate gamma C (C a half-open internal-coordinate box).  Only the
     grid nodes are checked, as ``detail["checked_on"]`` says, with their

@@ -30,13 +30,12 @@ def _write(tmp_path, text, name="exp.cfg"):
 def test_parse_config_basic(tmp_path):
     path = _write(
         tmp_path,
-        "# comment\nexperiment = shannon\nseed = 3\nr = 1.5  # inline\ntol_bounds = 1e-2\n",
+        "# comment\nexperiment = partition\nseed = 3\nr = 1.5  # inline\n",
     )
     cfg = parse_config(path)
-    assert cfg.experiment == "shannon"
+    assert cfg.experiment == "partition"
     assert cfg.seed == 3
     assert cfg.r == 1.5
-    assert cfg.tol("tol_bounds", 0.0) == 1e-2
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -77,7 +76,7 @@ def test_parse_config_requires_experiment(tmp_path):
 
 
 def test_parse_config_overrides(tmp_path):
-    path = _write(tmp_path, "experiment = shannon\nseed = 1\n")
+    path = _write(tmp_path, "experiment = partition\nseed = 1\n")
     cfg = parse_config(path, overrides=["seed=9", "r = 2.0"])
     assert cfg.seed == 9
     assert cfg.r == 2.0
@@ -247,22 +246,26 @@ def test_sweep_report_is_strict_json(tmp_path):
     assert (out / "table.csv").read_text().splitlines()[1].endswith(",inf")
 
 
-def test_misspelt_tolerance_exit_code(tmp_path):
+@pytest.mark.parametrize("experiment,key", [
+    ("shannon", "tol_bounds"), ("shannon", "tol_collapse"), ("shannon", "tol_recon"),
+    ("shannon", "tol_bouns"), ("beurling-scan", "tol_positive"), ("heisenberg", "tol_angle"),
+    ("heisenberg", "tol_covariance"), ("partition", "tol_bound"), ("oscillation", "tol_violation"),
+    ("constants", "tol_comm"), ("constants", "tol_haar"), ("constants", "tol_spread"),
+])
+def test_former_tolerance_key_is_unknown(tmp_path, monkeypatch, capsys, experiment, key):
+    # each check's bound is fixed in the code: the tol_* keys that used to
+    # reset them (each on the experiment that read it, tol_covariance through
+    # the heisenberg sweep's trend) and a misspelt one are unknown keys
+    calls = []
+    monkeypatch.setattr(cli, "sublaplacian_spectrum", lambda *a, **k: calls.append(a))
     out = tmp_path / "out"
-    path = _write(tmp_path, f"experiment = shannon\ntol_bouns = 5\noutdir = {out}\n")
-    assert main(["run", path]) == 2
+    path = _write(tmp_path, f"experiment = {experiment}\noutdir = {out}\n")
+    command = (["sweep", path, "--param", "omega", "--values", "1.0", "1.2"]
+               if key == "tol_covariance" else ["run", path])
+    assert main([*command, "-o", f"{key}=1"]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
-
-
-def test_tolerance_of_another_experiment_is_rejected(tmp_path):
-    # partition reads tol_bound and shannon tol_bounds; beurling-scan reads
-    # neither, so neither may be set for it
-    out = tmp_path / "out"
-    path = _write(tmp_path, f"experiment = beurling-scan\noutdir = {out}\n")
-    for key in ("tol_bound", "tol_bounds"):
-        assert main(["run", path, "-o", f"{key}=100"]) == 2
-        assert not out.exists()
-    assert main(["run", path, "-o", "tol_positive=1e-6"]) == 0
 
 
 @pytest.mark.parametrize("config,named", [
@@ -275,13 +278,18 @@ def test_tolerance_of_another_experiment_is_rejected(tmp_path):
     ("experiment = oscillation\nmodel = r1\nresolution = 9\n", "does not read resolution"),
     ("experiment = wavelet-frame\nomega = 2\n", "does not read omega"),
     ("experiment = beurling-scan\ns = 0.3\n", "does not read s"),
+    # keys only the sweep reads
+    ("experiment = shannon\nr = 1.5\n", "shannon on r1 does not read r"),
+    ("experiment = shannon\nresolution = 4096\n", "does not read resolution"),
+    ("experiment = beurling-scan\nr = 5\n", "beurling-scan on r1 does not read r"),
 ], ids=lambda v: v.replace(" = ", "=").replace("\n", " ").strip())
 def test_unread_key_or_unrun_model_is_rejected(tmp_path, monkeypatch, capsys, config, named):
     # heisenberg model=r1 used to compute on H^1 and echo model r1; a key
-    # the experiment does not read used to be echoed as if it had been
+    # the experiment does not read used to be echoed as if it had been, and
+    # so did a key that only its sweep reads
     raw = dict(line.split(" = ") for line in config.splitlines())
     with pytest.raises(ConfigError, match=named):
-        cli._config_from_dict(raw)
+        cli._config_from_dict(raw).validate()
     calls = []
     monkeypatch.setattr(cli, "sublaplacian_spectrum", lambda *a, **k: calls.append(a))
     out = tmp_path / "out"
@@ -293,13 +301,15 @@ def test_unread_key_or_unrun_model_is_rejected(tmp_path, monkeypatch, capsys, co
 
 def test_every_registered_model_runs_with_every_key_it_reads():
     values = {"resolution": 9, "r": 0.5, "s": 0.25, "omega": 1.0}
-    for experiment, (_, models, _) in cli._EXPERIMENTS.items():
+    for experiment, (_, models, sweep) in cli._EXPERIMENTS.items():
         assert ExperimentConfig(experiment=experiment).validate().model_id == next(iter(models))
         for model, keys in models.items():
-            cfg = ExperimentConfig(experiment=experiment, model=model,
-                                   tolerances={k: 1.0 for k in keys if k.startswith("tol_")},
-                                   **{k: values[k] for k in keys if k in values})
+            cfg = ExperimentConfig(experiment=experiment, model=model, **{k: values[k] for k in keys})
             assert cfg.validate().model_id == model
+            if sweep is not None:  # a sweep reads every parameter it varies
+                params = ["resolution" if p == "grid" else p for p in sweep[1]]
+                ExperimentConfig(experiment=experiment, model=model,
+                                 **{k: values[k] for k in params})._validate(True)
     # the runners' per-model tables cover the registered models
     assert list(cli._PARTITION_MODELS) == list(cli._EXPERIMENTS["partition"][1])
     assert list(cli._QL_DEFAULTS) == list(cli._EXPERIMENTS["quasilattice"][1])
@@ -308,13 +318,13 @@ def test_every_registered_model_runs_with_every_key_it_reads():
 
 
 def test_readme_experiment_table_matches_the_registry():
-    # each row: experiment, models sharing one key set, the keys read, and
-    # the sweep parameters (those of r, omega, grid the experiment reads)
+    # each row: experiment, models sharing one key set, the keys a run reads,
+    # and the parameters of the experiment's sweep
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
     with open(readme) as fh:
         lines = fh.read().splitlines()
     start = lines.index(
-        "| experiment | models (default first) | keys read | sweep parameters | trend check |")
+        "| experiment | models (default first) | keys a run reads | sweep parameters | trend check |")
     listed = {}
     for line in lines[start + 2:]:
         if not line.startswith("|"):
@@ -324,26 +334,9 @@ def test_readme_experiment_table_matches_the_registry():
         _, registered, sweep = cli._EXPERIMENTS[experiment]
         for model in models:
             assert sorted(keys) == sorted(registered[model]), (experiment, model)
-            read = [p for p in ("r", "omega", "grid")
-                    if ("resolution" if p == "grid" else p) in registered[model]]
-            assert params == (read if sweep else []), (experiment, model)
+        assert params == (list(sweep[1]) if sweep else []), experiment
         listed.setdefault(experiment, []).extend(models)
     assert listed == {e: list(models) for e, (_, models, _) in cli._EXPERIMENTS.items()}
-
-
-def test_tolerance_keys_are_the_names_the_experiments_read():
-    import ast
-
-    with open(cli.__file__) as fh:
-        tree = ast.parse(fh.read())
-    read = [
-        node.args[0].value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "tol"
-    ]
-    registered = {key for _, models, _ in cli._EXPERIMENTS.values()
-                  for keys in models.values() for key in keys if key.startswith("tol_")}
-    assert sorted(registered) == sorted(set(read))
 
 
 def test_line_experiments_match_reference(tmp_path):
@@ -363,7 +356,7 @@ def test_line_experiments_match_reference(tmp_path):
         experiment, *overrides = label.split()
         raw = {"experiment": experiment, "seed": "0", "outdir": str(tmp_path / str(i)),
                **dict(item.split("=", 1) for item in overrides)}
-        cfg = cli._config_from_dict(raw)
+        cfg = cli._config_from_dict(raw).validate()
         out = run_experiment(cfg)
         cli._emit(cfg, *out)
         assert [[c["name"], c["verdict"]] for c in out[0]["checks"]] == expected["verdicts"], label

@@ -190,7 +190,7 @@ def test_heisenberg_experiment_validates_input():
             self.omega = 1.0
 
     with pytest.raises(ValueError):
-        heisenberg_sampling_experiment(FakeProj(), 10.0)
+        heisenberg_sampling_experiment(FakeProj(), 10.0, 0.9)
 
 
 def test_beurling_scan_requires_1d():

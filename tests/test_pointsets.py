@@ -169,7 +169,7 @@ def test_csv_roundtrip(tmp_path):
     ps = PointSet(model, pts, [0.0, 0.0], [2.0, 2.0])
     path = tmp_path / "pts.csv"
     ps.to_csv(path)
-    back = PointSet.from_csv(path, model, lo=[0.0, 0.0], hi=[2.0, 2.0])
+    back = PointSet.from_csv(path, model)
     assert np.allclose(np.sort(back.points, axis=0), np.sort(ps.points, axis=0))
 
 
