@@ -6,14 +6,15 @@ Subcommands::
     groupsample sweep <config> --param {r,omega,grid} --values v1 v2 ...
     groupsample verify <pointset.csv> --sep S --dense R [--model ID]
 
-Config files are flat ``key = value`` text; a model the experiment does not
-run on, or a key its run (or sweep) does not read, is rejected
-(``_EXPERIMENTS``).  Each check's bound is fixed in the code.  Each run writes
-``report.json`` and ``table.csv`` (plus ``points.csv`` for a central point
-set) into the output directory.  Exit status: 0 when every check passes or
-is hypothesis-not-met, 1 on a check failure, 2 on usage or config errors.
-
-The CLI is a thin layer: every number it prints comes from a library call.
+Config files are flat ``key = value`` text; ``_EXPERIMENTS`` holds each run
+key's default, and ``validate()`` rejects, before any setup, a model or key
+the run (or sweep) does not read and a value an experiment's rule forbids.
+Each check's bound is fixed in the code.  Each run writes ``report.json`` and
+``table.csv`` (plus ``points.csv`` for a central point set) into the output
+directory.  Exit status: 0 when every check passes or is hypothesis-not-met,
+1 on a check failure, 2 on usage or config errors.  Numbers come from library
+calls, except ``commutator_residual``, ``haar_scaling_ratio``, ``constants``'
+Bernstein ratio and the sweep trends, which are computed here.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ _SCALAR_KEYS = {
     "outdir": str,
 }
 _H1_HALF = 7.0  # the H^1 experiments' chart box is [-_H1_HALF, _H1_HALF)^3
+# the line grid over [-32, 32) of beurling-scan, shannon's envelope and partition r1
+_LINE_GRID = Grid.regular(EuclideanModel(1), [-32.0], [32.0], (2048,))
 
 
 class ConfigError(ValueError):
@@ -121,12 +124,26 @@ class ExperimentConfig:
         if unread:
             reader = f"the {self.experiment} sweep" if sweep else f"{self.experiment} on {self.model_id}"
             raise ConfigError(f"{reader} does not read {', '.join(unread)}")
+        # the experiments' rules, on the values the run will read
+        if self.experiment == "partition" and self.get("s") > self.get("r"):
+            raise ConfigError(f"partition needs s <= r (W inside U), got s = {self.get('s')} "
+                              f"and r = {self.get('r')}")
+        if self.experiment == "heisenberg" and self.get("r") >= 1:
+            raise ConfigError("r plays the role of x = r sqrt(omega) C_G here: need 0 < r < 1")
+        if (self.experiment == "beurling-scan"
+                and _beurling_band(self.get("omega")) >= 0.5 / _LINE_GRID.spacings[0] / 2.0):
+            raise ConfigError("omega too large for the scan grid: lower omega or refine")
         return self
 
     @property
     def model_id(self):
         """``model``, or else the experiment's default (its first) model."""
         return self.model or next(iter(_EXPERIMENTS[self.experiment][1]))
+
+    def get(self, key):
+        """Run key ``key`` as set, or else its default in ``_EXPERIMENTS``."""
+        value = getattr(self, key)
+        return _EXPERIMENTS[self.experiment][1][self.model_id][key] if value is None else value
 
     def echo(self):
         return {k: v for k, v in sorted(dataclasses.asdict(self).items()) if v is not None}
@@ -253,12 +270,10 @@ def _random_smooth(grid, seed, spread):
 
 
 def _h1_projector(cfg):
-    """Band projector at omega (default 1) on the resolution^3 grid (default
-    33) over the chart box, through the cache."""
-    n = cfg.resolution if cfg.resolution is not None else 33
-    grid = Grid.regular(HeisenbergModel(), [-_H1_HALF] * 3, [_H1_HALF] * 3, (n,) * 3)
-    omega = cfg.omega if cfg.omega is not None else 1.0
-    return sublaplacian_spectrum(grid, omega, cache_dir=_cache_dir(cfg))
+    """Band projector at omega on the resolution^3 grid over the chart box,
+    through the cache."""
+    grid = Grid.regular(HeisenbergModel(), [-_H1_HALF] * 3, [_H1_HALF] * 3, (cfg.get("resolution"),) * 3)
+    return sublaplacian_spectrum(grid, cfg.get("omega"), cache_dir=_cache_dir(cfg))
 
 
 def haar_scaling_ratio(model, t, seed):
@@ -334,8 +349,7 @@ def _exp_shannon(cfg):
                          worst_rel_err=worst, checked_on="sampled", n_functions=20))
 
     # oscillation envelope on ten random certified configurations
-    egrid = Grid.regular(model, [-32.0], [32.0], (2048,))
-    ekernel = SincKernel(egrid, 0.5)
+    ekernel = SincKernel(_LINE_GRID, 0.5)
     env_ok, n_hyp, family_size = True, 0, None
     for k in range(10):
         crng = np.random.default_rng(1000 + cfg.seed + k)
@@ -358,15 +372,15 @@ def _exp_shannon(cfg):
     return checks, ("r", "a", "b", "tightness"), rows, ps_c
 
 
+def _beurling_band(omega):
+    return math.sqrt(omega) / (2.0 * math.pi)
+
+
 def _beurling_kernel(cfg):
-    """omega (default pi^2) and the sinc kernel of band sqrt(omega) / 2 pi
-    on [-32, 32); raises when the grid does not resolve the band."""
-    omega = cfg.omega if cfg.omega is not None else math.pi**2
-    band = math.sqrt(omega) / (2.0 * math.pi)
-    grid = Grid.regular(EuclideanModel(1), [-32.0], [32.0], (2048,))
-    if band >= 0.5 / grid.spacings[0] / 2.0:
-        raise ConfigError("omega too large for the scan grid: lower omega or refine")
-    return omega, SincKernel(grid, band)
+    """omega and the sinc kernel of band sqrt(omega) / 2 pi on the line grid,
+    which ``validate()`` has checked resolves it."""
+    omega = cfg.get("omega")
+    return omega, SincKernel(_LINE_GRID, _beurling_band(omega))
 
 
 def _exp_beurling(cfg):
@@ -426,15 +440,12 @@ def _exp_wavelet(cfg):
 
 def _heisenberg_report(cfg):
     """``heisenberg_sampling_experiment`` over the cached projector and C_G,
-    at x = r sqrt(omega) C_G given by r (default just below 1), with the
-    ``dilation_angle`` of the projector under delta_t, t = 2^(-1/4)."""
-    x_target = cfg.r if cfg.r is not None else 1.0 - 5e-6
-    if not 0 < x_target < 1:
-        raise ConfigError("r plays the role of x = r sqrt(omega) C_G here: need 0 < r < 1")
+    at x = r sqrt(omega) C_G given by r, with the ``dilation_angle`` of the
+    projector under delta_t, t = 2^(-1/4)."""
     proj = _h1_projector(cfg)
     cache_dir = _cache_dir(cfg)
     c_g, _ = oscillation_constant(proj, cache_dir)
-    rep = heisenberg_sampling_experiment(proj, c_g, x_target=x_target, seed=cfg.seed)
+    rep = heisenberg_sampling_experiment(proj, c_g, x_target=cfg.get("r"), seed=cfg.seed)
     rep["dilation_angle"] = projector_dilation_angle(proj, 2.0**-0.25, cache_dir=cache_dir)
     return rep
 
@@ -457,11 +468,10 @@ def _exp_heisenberg(cfg):
 
 
 def _partition_r1(cfg, u, w):
-    model = EuclideanModel(1)
-    kernel = SincKernel(Grid.regular(model, [-32.0], [32.0], (2048,)), 0.5)
+    kernel = SincKernel(_LINE_GRID, 0.5)
 
     def points(k):
-        return _jittered_gamma_r(model, cfg.seed + 10 * k, u, w)
+        return _jittered_gamma_r(_LINE_GRID.model, cfg.seed + 10 * k, u, w)
 
     def funcs(k):
         rng = np.random.default_rng(500 + cfg.seed + k)
@@ -482,21 +492,14 @@ def _partition_heis1(cfg, u, w):
     return points, funcs, 17, proj.grid.shape[0]
 
 
-# model -> (default U radius r, default W radius s, bound tolerance, setup);
-# the setup returns the k-th point set, the k-th pair of test functions, and
-# the grid shapes of the density check and of the partition
-_PARTITION_MODELS = {
-    "r1": (0.25, 0.08, 1e-6, _partition_r1),
-    "heis1": (2.6, 0.4, 1e-4, _partition_heis1),
-}
+# model -> (bound tolerance, setup(cfg, U radius r, W radius s)); the setup gives the
+# k-th point set, the k-th test-function pair, and the density and partition grid shapes
+_PARTITION_MODELS = {"r1": (1e-6, _partition_r1), "heis1": (1e-4, _partition_heis1)}
 
 
 def _exp_partition(cfg):
-    u, w, tol, setup = _PARTITION_MODELS[cfg.model_id]
-    u = cfg.r if cfg.r is not None else u
-    w = cfg.s if cfg.s is not None else w
-    if w > u:
-        raise ConfigError(f"partition needs s <= r (W inside U), got s = {w} and r = {u}")
+    u, w = cfg.get("r"), cfg.get("s")
+    tol, setup = _PARTITION_MODELS[cfg.model_id]
     points, funcs, dense_shape, partition_shape = setup(cfg, u, w)
     rows = []
     cert_ok = inv_ok = True
@@ -549,16 +552,11 @@ def _exp_quasilattice(cfg):
 def _exp_oscillation(cfg):
     if cfg.model_id == "r1":
         grid = Grid.regular(EuclideanModel(1), [-16.0], [16.0], (512,))
-        r = cfg.r if cfg.r is not None else 0.5
-        tol = 1e-6
-        spread = 4.0
+        tol, spread = 1e-6, 4.0
     else:  # heis1
-        model = HeisenbergModel()
-        n = cfg.resolution if cfg.resolution is not None else 25
-        grid = Grid.regular(model, [-6.0] * 3, [6.0] * 3, (n,) * 3)
-        r = cfg.r if cfg.r is not None else 0.4
-        tol = 1e-4
-        spread = 1.5
+        grid = Grid.regular(HeisenbergModel(), [-6.0] * 3, [6.0] * 3, (cfg.get("resolution"),) * 3)
+        tol, spread = 1e-4, 1.5
+    r = cfg.get("r")
     rows = []
     worst = -math.inf
     for k in range(20):
@@ -726,23 +724,25 @@ def _completed_trend(vals, rows):
     return _check("sweep-completed", len(rows) == len(vals), n_rows=len(rows))
 
 
-# experiment -> (runner, {model: the keys its runner reads on that model
-# beyond experiment, seed and outdir}, sweep or None); the first model is the
-# default, and a sweep is (row of one value, {param: trend check}) over every
-# parameter it varies, on any model
+# experiment -> (runner, {model: {key its runner reads on that model, beyond
+# experiment, seed and outdir: its default}}, sweep or None); the first model
+# is the default, and a sweep is (row of one value, {param: trend check}) over
+# every parameter it varies, on any model
+_H1_RUN = {"resolution": 33, "omega": 1.0}  # _h1_projector's grid and band
 _EXPERIMENTS = {
-    "shannon": (_exp_shannon, {"r1": ()},
+    "shannon": (_exp_shannon, {"r1": {}},
                 (_shannon_sweep_row, {"r": _tightness_trend, "grid": _completed_trend})),
-    "beurling-scan": (_exp_beurling, {"r1": ("omega",)},
+    "beurling-scan": (_exp_beurling, {"r1": {"omega": math.pi**2}},
                       (_beurling_sweep_row, {"r": _lower_bound_trend, "omega": _completed_trend})),
-    "wavelet-frame": (_exp_wavelet, {"affine": ()}, None),
-    "heisenberg": (_exp_heisenberg, {"heis1": ("r", "resolution", "omega")},
+    "wavelet-frame": (_exp_wavelet, {"affine": {}}, None),
+    "heisenberg": (_exp_heisenberg, {"heis1": {"r": 1.0 - 5e-6, **_H1_RUN}},
                    (_heisenberg_sweep_row, {"r": _completed_trend, "omega": _covariance_trend,
                                             "grid": _completed_trend})),
-    "partition": (_exp_partition, {"r1": ("r", "s"), "heis1": ("r", "s", "resolution", "omega")}, None),
-    "quasilattice": (_exp_quasilattice, {m: () for m in _QL_DEFAULTS}, None),
-    "oscillation": (_exp_oscillation, {"r1": ("r",), "heis1": ("r", "resolution")}, None),
-    "constants": (_exp_constants, {"heis1": ("resolution", "omega")}, None),
+    "partition": (_exp_partition,
+                  {"r1": {"r": 0.25, "s": 0.08}, "heis1": {"r": 2.6, "s": 0.4, **_H1_RUN}}, None),
+    "quasilattice": (_exp_quasilattice, {m: {} for m in _QL_DEFAULTS}, None),
+    "oscillation": (_exp_oscillation, {"r1": {"r": 0.5}, "heis1": {"r": 0.4, "resolution": 25}}, None),
+    "constants": (_exp_constants, {"heis1": _H1_RUN}, None),
 }
 
 

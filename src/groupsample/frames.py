@@ -19,7 +19,7 @@ import numpy as np
 from .grids import Grid, GridFunction
 from .groups import EuclideanModel, HeisenbergModel
 from .pointsets import PointSet, Partition, verify_separated, verify_dense, gap_lattice
-from .kernels import SpectralProjector
+from .kernels import SincKernel, SpectralProjector
 from .analysis import oscillation, oscillation_l1_box, random_bandlimited
 
 __all__ = [
@@ -127,7 +127,7 @@ def quasi_interpolate(samples, partition: Partition) -> GridFunction:
 
 
 def theorem35_verdict(
-    kernel,
+    kernel: SincKernel,
     ps: PointSet,
     w_radius: float,
     u_radius: float,
@@ -135,7 +135,7 @@ def theorem35_verdict(
     seed: int = 0,
     verify_shape=None,
 ) -> dict:
-    """Oscillation-based sampling envelope on the kernel's space.
+    """Oscillation-based sampling envelope on a ``SincKernel``'s space.
 
     epsilon is the max of ||osc_{B_U} f|| / ||f|| over a finite test family
     (random space elements, reproducing vectors, and the retained band-edge
@@ -164,12 +164,10 @@ def theorem35_verdict(
         c = kernel.coefficients(pvec)
         family.append(c / np.linalg.norm(c))
     # band-edge modes (largest oscillation per unit norm)
-    if hasattr(kernel, "freqs"):
-        idx = np.argsort(np.linalg.norm(kernel.freqs, axis=1))[-6:]
-        for i in idx:
-            c = np.zeros(kernel.dim, dtype=np.complex128)
-            c[i] = 1.0
-            family.append(c)
+    for i in np.argsort(np.linalg.norm(kernel.freqs, axis=1))[-6:]:
+        c = np.zeros(kernel.dim, dtype=np.complex128)
+        c[i] = 1.0
+        family.append(c)
 
     eps = 0.0
     fs = [kernel.synthesize(c) for c in family]

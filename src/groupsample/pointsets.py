@@ -65,9 +65,11 @@ class PointSet:
 
     @classmethod
     def from_csv(cls, path, model):
-        pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if not len(pts):
+        with open(path) as fh:  # the header, then a row per point; '#' comments
+            rows = [line for line in fh.readlines()[1:] if line.split("#", 1)[0].strip()]
+        if not rows:
             raise ValueError(f"{path} holds no points")
+        pts = np.loadtxt(rows, delimiter=",", ndmin=2)
         u = model.to_internal(pts)
         return cls(model, pts, u.min(axis=0), u.max(axis=0) + 1e-9)
 

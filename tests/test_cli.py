@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -155,7 +156,8 @@ def test_verify_rejects_csv_without_points(tmp_path, capsys):
     csv.write_text("x0\n")
     out = tmp_path / "out"
     assert main(["verify", str(csv), "--sep", "0.4", "--outdir", str(out)]) == 2
-    assert "holds no points" in capsys.readouterr().err
+    # the CLI's own message only, with no numpy warning before it
+    assert capsys.readouterr().err == f"error: {csv} holds no points\n"
     assert not out.exists()
 
 
@@ -227,6 +229,37 @@ def test_sweep_rejects_non_integer_grid_before_any_row(tmp_path, monkeypatch):
         assert main(["sweep", path, "--param", param, "--values", *values]) == 2, values
         assert calls == []
         assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,overrides,param,values,message", [
+    ("heisenberg", ["-o", "resolution=9"], "r", ["0.5", "1.5"], "need 0 < r < 1"),
+    ("beurling-scan", [], "omega", ["1", "3000"], "omega too large for the scan grid"),
+], ids=["heisenberg-r", "beurling-scan-omega"])
+def test_sweep_value_breaking_a_rule_stops_before_any_row(tmp_path, monkeypatch, capsys,
+                                                          experiment, overrides, param, values,
+                                                          message):
+    # validate() checks the experiments' rules on every swept value, so a bad
+    # last value stops the sweep before its first row: no eigensolve, no cache
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("GROUPSAMPLE_CACHE", str(cache))
+    runner, models, (row, trends) = cli._EXPERIMENTS[experiment]
+    rows, solves = [], []
+    monkeypatch.setitem(cli._EXPERIMENTS, experiment,
+                        (runner, models, (lambda c: rows.append(c) or row(c), trends)))
+    real = cli.sublaplacian_spectrum
+    monkeypatch.setattr(cli, "sublaplacian_spectrum",
+                        lambda *a, **k: solves.append(a) or real(*a, **k))
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = {experiment}\noutdir = {out}\n")
+    assert main(["sweep", path, "--param", param, "--values", *values, *overrides]) == 2
+    assert message in capsys.readouterr().err
+    assert (rows, solves) == ([], [])
+    assert not cache.exists() and not out.exists()
+    # run rejects the same value with the same message
+    assert main(["run", path, "-o", f"{param}={values[-1]}", *overrides]) == 2
+    assert message in capsys.readouterr().err
+    assert (rows, solves) == ([], [])
+    assert not cache.exists() and not out.exists()
 
 
 def test_sweep_report_is_strict_json(tmp_path):
@@ -318,22 +351,26 @@ def test_every_registered_model_runs_with_every_key_it_reads():
 
 
 def test_readme_experiment_table_matches_the_registry():
-    # each row: experiment, models sharing one key set, the keys a run reads,
-    # and the parameters of the experiment's sweep
+    # each row: experiment, models sharing one key set, the keys a run reads
+    # with their defaults, and the parameters of the experiment's sweep
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
     with open(readme) as fh:
         lines = fh.read().splitlines()
-    start = lines.index(
-        "| experiment | models (default first) | keys a run reads | sweep parameters | trend check |")
+    start = lines.index("| experiment | models (default first) | keys a run reads = default "
+                        "| sweep parameters | trend check |")
     listed = {}
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        (experiment,), models, keys, params, _ = (
-            re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|"))
+        cells = line.strip("|").split("|")
+        (experiment,), models, params = (re.findall(r"`([^`]+)`", cells[i]) for i in (0, 1, 3))
+        defaults = {key: math.pi**2 if value.strip() == "pi^2" else float(value)
+                    for key, value in re.findall(r"`(\w+)` = ([^,]+)", cells[2])}
         _, registered, sweep = cli._EXPERIMENTS[experiment]
         for model in models:
-            assert sorted(keys) == sorted(registered[model]), (experiment, model)
+            assert sorted(defaults) == sorted(registered[model]), (experiment, model)
+            for key, default in registered[model].items():
+                assert math.isclose(defaults[key], default, rel_tol=1e-12), (experiment, model, key)
         assert params == (list(sweep[1]) if sweep else []), experiment
         listed.setdefault(experiment, []).extend(models)
     assert listed == {e: list(models) for e, (_, models, _) in cli._EXPERIMENTS.items()}
