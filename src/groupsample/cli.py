@@ -80,6 +80,7 @@ _SCALAR_KEYS = {
 _H1_HALF = 7.0  # the H^1 experiments' chart box is [-_H1_HALF, _H1_HALF)^3
 # the line grid over [-32, 32) of beurling-scan, shannon's envelope and partition r1
 _LINE_GRID = Grid.regular(EuclideanModel(1), [-32.0], [32.0], (2048,))
+_HAAR_POINTS = 4_000_000  # Monte Carlo sample of haar_scaling_ratio
 
 
 class ConfigError(ValueError):
@@ -132,7 +133,8 @@ class ExperimentConfig:
             raise ConfigError("r plays the role of x = r sqrt(omega) C_G here: need 0 < r < 1")
         if (self.experiment == "beurling-scan"
                 and _beurling_band(self.get("omega")) >= 0.5 / _LINE_GRID.spacings[0] / 2.0):
-            raise ConfigError("omega too large for the scan grid: lower omega or refine")
+            raise ConfigError("omega too large for the scan grid: need omega < 256 pi^2 "
+                              f"(about 2527), got {self.get('omega'):g}")
         return self
 
     @property
@@ -282,7 +284,7 @@ def haar_scaling_ratio(model, t, seed):
     and not by a change of variables."""
     rng = np.random.default_rng(seed)
     box = np.array([t, t, t * t / 4.0])
-    pts = rng.uniform(-1.0, 1.0, size=(4_000_000, 3)) * box
+    pts = rng.uniform(-1.0, 1.0, size=(_HAAR_POINTS, 3)) * box
     g = model.norm(pts)
     c1 = np.count_nonzero(g <= 1.0)
     ct = np.count_nonzero(g <= t)
@@ -406,7 +408,7 @@ def _exp_wavelet(cfg):
     system = mollified_vector(psi, ag, cosine_taper_bump(ag))
     scan = hypothesis_scan(system, (0.3, 0.25, 0.2, 0.15, 0.1))
     checks = [
-        _check("hypothesis-scan", scan["u_star"] is not None,
+        _check("hypothesis-scan", scan["u_star"] is not None, checked_on="sampled",
                u_star=scan["u_star"], c_factor=scan["c_factor"],
                epsilons={f"{r['u_half']:g}": r["epsilon"] for r in scan["rows"]})
     ]
@@ -432,9 +434,11 @@ def _exp_wavelet(cfg):
                      "tightness": fb.tightness, "n_points": len(lat)})
         pointset = lat
     tight = [fb.tightness for fb in bounds]
+    basis = {"checked_on": "probe subspace", "n_probes": len(probes)}
     checks.append(_check("lower-bound-positive", all(fb.a > 0 for fb in bounds),
-                         a_values=[fb.a for fb in bounds]))
-    checks.append(_check("tightness-monotone", tight[0] > tight[1] > tight[2], tightness=tight))
+                         a_values=[fb.a for fb in bounds], **basis))
+    checks.append(_check("tightness-monotone", tight[0] > tight[1] > tight[2], tightness=tight,
+                         **basis))
     return checks, ("sigma", "a", "b", "tightness", "n_points"), rows, pointset
 
 
@@ -459,10 +463,10 @@ def _exp_heisenberg(cfg):
     checks = [
         _check("lower-ratio-vs-prediction", rep["guaranteed_pass"],
                ratio_min=rep["ratio_min"], a_pred=rep["a_pred"], dilation=rep["dilation"],
-               c_g=rep["c_g"]),
+               c_g=rep["c_g"], checked_on="sampled", n_functions=len(rep["ratios"])),
         _check("dilation-covariance-angle",
                rep["dilation_angle"] <= 5e-2,
-               angle=rep["dilation_angle"]),
+               angle=rep["dilation_angle"], checked_on="discrete space"),
     ]
     return checks, ("k", "ratio", "a_pred"), rows, None
 
@@ -579,9 +583,9 @@ def _exp_constants(cfg):
     proj = _h1_projector(cfg)
     grid, omega, model = proj.grid, proj.omega, proj.grid.model
     checks = [
-        _check("band-dimension", proj.dim >= 20, dim=proj.dim),
+        _check("band-dimension", proj.dim >= 20, dim=proj.dim, checked_on="discrete space"),
         _check("homogeneous-dimension", model.homogeneous_dimension == 4,
-               q=model.homogeneous_dimension),
+               q=model.homogeneous_dimension, checked_on="exact"),
     ]
     L = sublaplacian_matrix(grid)
     worst = 0.0
@@ -589,13 +593,15 @@ def _exp_constants(cfg):
         v = proj.eigenvectors[i].reshape(-1)
         worst = max(worst, float(np.linalg.norm(L @ v) / np.linalg.norm(v)))
     checks.append(_check("bernstein-eigenbasis", worst <= omega * (1 + 1e-9),
-                         max_ratio=worst, omega=omega))
+                         max_ratio=worst, omega=omega, checked_on="discrete space",
+                         n_modes=proj.dim))
     res = commutator_residual()
-    checks.append(_check("commutator-xy-t", res < 1e-3, residual=res))
+    checks.append(_check("commutator-xy-t", res < 1e-3, residual=res, checked_on="grid nodes"))
     t = 1.3
     ratio = haar_scaling_ratio(model, t, cfg.seed)
     checks.append(_check("haar-scaling", abs(ratio / t**4 - 1.0) < 1e-2,
-                         ratio=ratio, expected=t**4))
+                         ratio=ratio, expected=t**4, checked_on="sampled",
+                         n_points=_HAAR_POINTS))
     c_g, b_verified = oscillation_constant(proj, _cache_dir(cfg))
     scal = oscillation_scaling_check(proj, (0.1, 0.2, 0.4), seed=cfg.seed)
     rows = [
@@ -603,12 +609,13 @@ def _exp_constants(cfg):
          "ratio_over_r": row["max_ratio"] / row["r"], "bound": row["r"] * c_g}
         for row in scal["rows"]
     ]
+    basis = {"checked_on": "sampled", "n_functions": len(scal["rows"][0]["ratios"])}
     checks.append(_check("osc-scaling-bound", all(row["max_ratio"] <= row["bound"] for row in rows),
-                         c_g=c_g, b_verified=b_verified))
+                         c_g=c_g, b_verified=b_verified, **basis))
     checks.append(_check("osc-scaling-linearity",
                          scal["ratio_over_r_spread"] < 0.25,
                          spread=scal["ratio_over_r_spread"], slope=scal["slope"],
-                         r_squared=scal["r_squared"]))
+                         r_squared=scal["r_squared"], **basis))
     return checks, ("r", "max_ratio", "ratio_over_r", "bound"), rows, None
 
 

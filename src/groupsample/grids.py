@@ -219,14 +219,16 @@ class GridFunction:
             raise ValueError("grid mismatch")
         return complex(np.sum(self.grid.weights() * self.values * np.conj(other.values)))
 
+    def support_index(self) -> np.ndarray:
+        """Flat indices of the nodes where |f| > 1e-14 max|f|, in order."""
+        a = np.abs(self.values.reshape(-1))
+        return np.nonzero(a > 1e-14 * max(a.max(), 1e-300))[0]
+
     def support(self):
-        """Chart points (n, dim), quadrature weights and values of the nodes
-        where |f| > 1e-14 max|f|, in node order; none for the zero function."""
-        v = self.values.reshape(-1)
-        a = np.abs(v)
-        idx = np.nonzero(a > 1e-14 * max(a.max(), 1e-300))[0]
+        """Chart points (n, dim), quadrature weights and values at ``support_index``."""
+        idx = self.support_index()
         pts = self.grid.points().reshape(-1, self.grid.dim)
-        return pts[idx], self.grid.weights().reshape(-1)[idx], v[idx]
+        return pts[idx], self.grid.weights().reshape(-1)[idx], self.values.reshape(-1)[idx]
 
     # -- evaluation ----------------------------------------------------------
 

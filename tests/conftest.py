@@ -1,4 +1,5 @@
 import os
+import time
 
 import numpy as np
 import pytest
@@ -33,3 +34,70 @@ def h1_proj(h1_grid, cache_dir):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0)
+
+
+# one run of each experiment per session, shared by the acceptance checks
+# and the report tests
+
+
+@pytest.fixture(scope="session")
+def outroot(tmp_path_factory):
+    return tmp_path_factory.mktemp("acceptance")
+
+
+def _run(experiment, outroot, tag=None, **kw):
+    from groupsample.cli import ExperimentConfig, run_experiment
+
+    name = tag or experiment
+    cfg = ExperimentConfig(experiment=experiment, outdir=str(outroot / name), **kw).validate()
+    t0 = time.perf_counter()
+    report, header, rows, _ = run_experiment(cfg)
+    report["elapsed_s"] = time.perf_counter() - t0
+    report["header"] = header
+    report["rows"] = rows
+    return report
+
+
+@pytest.fixture(scope="session")
+def shannon(outroot):
+    return _run("shannon", outroot)
+
+
+@pytest.fixture(scope="session")
+def beurling(outroot):
+    return _run("beurling-scan", outroot)
+
+
+@pytest.fixture(scope="session")
+def wavelet(outroot):
+    return _run("wavelet-frame", outroot)
+
+
+@pytest.fixture(scope="session")
+def heisenberg(outroot):
+    return _run("heisenberg", outroot)
+
+
+@pytest.fixture(scope="session")
+def constants(outroot):
+    return _run("constants", outroot, model="heis1")
+
+
+@pytest.fixture(scope="session")
+def partition_r(outroot):
+    return _run("partition", outroot, tag="partition-r1", model="r1")
+
+
+@pytest.fixture(scope="session")
+def partition_h(outroot):
+    return _run("partition", outroot, tag="partition-heis1", model="heis1")
+
+
+@pytest.fixture(scope="session")
+def osc_r(outroot):
+    return _run("oscillation", outroot, tag="oscillation-r1", model="r1")
+
+
+@pytest.fixture(scope="session")
+def osc_h(outroot):
+    return _run("oscillation", outroot, tag="oscillation-heis1", model="heis1")

@@ -1,33 +1,14 @@
 """Acceptance checks: one test per primary criterion, at stated tolerances.
 
 Each test prints one PASS/FAIL line (the pytest -v status line); the heavy
-experiment runs are shared session-wide and their eigensolves come from the
-persistent cache directory.
+experiment runs are session fixtures in ``conftest.py``, shared with the
+other test modules, and their eigensolves come from the persistent cache
+directory.
 """
 
 import hashlib
-import time
-
-import pytest
 
 from groupsample import cli
-from groupsample.cli import ExperimentConfig, run_experiment
-
-
-@pytest.fixture(scope="session")
-def outroot(tmp_path_factory):
-    return tmp_path_factory.mktemp("acceptance")
-
-
-def _run(experiment, outroot, tag=None, **kw):
-    name = tag or experiment
-    cfg = ExperimentConfig(experiment=experiment, outdir=str(outroot / name), **kw).validate()
-    t0 = time.perf_counter()
-    report, header, rows, _ = run_experiment(cfg)
-    report["elapsed_s"] = time.perf_counter() - t0
-    report["header"] = header
-    report["rows"] = rows
-    return report
 
 
 def _get(report, name):
@@ -40,51 +21,6 @@ def _passes(report, name):
     c = _get(report, name)
     assert c["verdict"] == "pass", c
     return c
-
-
-@pytest.fixture(scope="session")
-def shannon(outroot):
-    return _run("shannon", outroot)
-
-
-@pytest.fixture(scope="session")
-def beurling(outroot):
-    return _run("beurling-scan", outroot)
-
-
-@pytest.fixture(scope="session")
-def wavelet(outroot):
-    return _run("wavelet-frame", outroot)
-
-
-@pytest.fixture(scope="session")
-def heisenberg(outroot):
-    return _run("heisenberg", outroot)
-
-
-@pytest.fixture(scope="session")
-def constants(outroot):
-    return _run("constants", outroot, model="heis1")
-
-
-@pytest.fixture(scope="session")
-def partition_r(outroot):
-    return _run("partition", outroot, tag="partition-r1", model="r1")
-
-
-@pytest.fixture(scope="session")
-def partition_h(outroot):
-    return _run("partition", outroot, tag="partition-heis1", model="heis1")
-
-
-@pytest.fixture(scope="session")
-def osc_r(outroot):
-    return _run("oscillation", outroot, tag="oscillation-r1", model="r1")
-
-
-@pytest.fixture(scope="session")
-def osc_h(outroot):
-    return _run("oscillation", outroot, tag="oscillation-heis1", model="heis1")
 
 
 def test_criterion_01_shannon_identity(shannon):

@@ -64,6 +64,111 @@ def test_osc_conv_inequality_euclidean():
     assert rep["max_violation"] < 1e-6
 
 
+def _osc_conv_reference(f, g, r, seed):
+    """The loop ``osc_conv_check`` ran before it interpolated each distinct
+    point once: every pair (z, x) interpolated, all evaluation points at
+    once; returns the max violation and rhs_scale."""
+    grid = f.grid
+    model = grid.model
+    n_sample = 400 if grid.dim == 1 else 120
+    offsets = analysis.ball_offsets(model, r, grid.spacings, n_dirs=12)
+    z, w, fv = f.support()
+    zinv = model.inv(z)
+    coef = w * fv
+    all_pts = grid.points().reshape(-1, grid.dim)
+    if len(all_pts) > n_sample:
+        rng = np.random.default_rng(seed)
+        xs = all_pts[rng.choice(len(all_pts), size=n_sample, replace=False)]
+    else:
+        xs = all_pts
+    q0 = model.mul(zinv[:, None, :], xs[None, :, :])
+    g0 = interpolate(g.values, grid, model.to_internal(q0))
+    osc_g = np.zeros(q0.shape[:2])
+    lhs = np.zeros((len(offsets), len(xs)))
+    for k, y in enumerate(offsets):
+        q1 = model.mul(q0, model.inv(y))
+        g1 = interpolate(g.values, grid, model.to_internal(q1))
+        diff = g0 - g1
+        np.maximum(osc_g, np.abs(diff), out=osc_g)
+        lhs[k] = np.abs(np.sum(coef[:, None] * diff, axis=0))
+    rhs = np.sum(np.abs(coef)[:, None] * osc_g, axis=0)
+    return float(np.max(lhs - rhs[None, :])), float(rhs.max())
+
+
+def _digest(*values):
+    return hashlib.sha256(np.array(values, dtype=float).tobytes()).hexdigest()
+
+
+# model, box, shape and radius; on "r1-odd" (spacing 0.02) the node-index
+# difference does not fix the bytes of z^-1 x
+_OSC_CONV_CASES = {
+    "r1": (EuclideanModel(1), 16.0, (512,), 0.5),
+    "rn2": (EuclideanModel(2), 4.0, (32, 16), 0.6),
+    "heis1-5": (HeisenbergModel(), 6.0, (5,) * 3, 0.4),
+    "heis1-9": (HeisenbergModel(), 6.0, (9,) * 3, 0.4),
+    "r1-odd": (EuclideanModel(1), 4.0, (400,), 0.3),
+}
+
+
+def _osc_conv_pairs(case):
+    """A complex white-noise pair, and a narrow bump (support short of the
+    grid) against white noise."""
+    model, half, shape, r = _OSC_CONV_CASES[case]
+    grid = Grid.regular(model, [-half] * model.dim, [half] * model.dim, shape)
+    rng = np.random.default_rng(12)
+    noise = [GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+             for _ in range(3)]
+    bump = _gauss(grid, [0.3] * model.dim, 0.3)
+    assert 0 < len(bump.support_index()) < grid.size
+    return grid, r, [(noise[0], noise[1]), (bump, noise[2])]
+
+
+@pytest.mark.parametrize("case", list(_OSC_CONV_CASES))
+def test_osc_conv_check_matches_reference_loop(case):
+    grid, r, pairs = _osc_conv_pairs(case)
+    if case == "r1-odd":
+        # one index step, two byte patterns: the dedupe must fall back
+        steps = np.diff(grid.points().reshape(-1))
+        assert len(np.unique(steps)) > 1
+    for seed, (f, g) in enumerate(pairs):
+        rep = osc_conv_check(f, g, r, seed=seed)
+        ref = _osc_conv_reference(f, g, r, seed)
+        assert _digest(rep["max_violation"], rep["rhs_scale"]) == _digest(*ref), (case, seed)
+
+
+@pytest.mark.parametrize("case", ["r1", "heis1-5"])
+def test_osc_conv_check_blocks_keep_the_bits(case, monkeypatch):
+    # 2^9 pairs (z, x) a block: tens to hundreds of blocks, down to two
+    # evaluation points each, with the dedupe (r1) and without (heis1)
+    monkeypatch.setattr(analysis, "_OSC_CONV_BLOCK", 2**9)
+    grid, r, pairs = _osc_conv_pairs(case)
+    for seed, (f, g) in enumerate(pairs):
+        rep = osc_conv_check(f, g, r, seed=seed)
+        assert _digest(rep["max_violation"], rep["rhs_scale"]) == _digest(
+            *_osc_conv_reference(f, g, r, seed)), (case, seed)
+
+
+def test_osc_conv_check_interpolates_each_index_difference_once(monkeypatch):
+    counts = []
+
+    def counting(values, grid, pts):
+        counts.append(np.asarray(pts).size // grid.dim)
+        return interpolate(values, grid, pts)
+
+    monkeypatch.setattr(analysis, "interpolate", counting)
+    for case in ("r1", "r1-odd"):
+        grid, r, pairs = _osc_conv_pairs(case)
+        counts.clear()
+        osc_conv_check(*pairs[0], r)
+        n = grid.shape[0]
+        if case == "r1":
+            # 512 * 400 pairs (z, x), at most 2n - 1 distinct differences
+            assert counts and max(counts) <= 2 * n - 1
+        else:
+            # the fallback interpolates every pair of a block
+            assert min(counts) > 2 * n - 1
+
+
 def test_vector_fields_heisenberg_polynomials():
     grid = Grid.regular(HeisenbergModel(), [-2.0] * 3, [2.0] * 3, (33,) * 3)
     # f = t: X f = -y/2, Y f = x/2, T f = 1

@@ -233,7 +233,8 @@ def test_sweep_rejects_non_integer_grid_before_any_row(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("experiment,overrides,param,values,message", [
     ("heisenberg", ["-o", "resolution=9"], "r", ["0.5", "1.5"], "need 0 < r < 1"),
-    ("beurling-scan", [], "omega", ["1", "3000"], "omega too large for the scan grid"),
+    ("beurling-scan", [], "omega", ["1", "3000"],
+     "omega too large for the scan grid: need omega < 256 pi^2 (about 2527), got 3000"),
 ], ids=["heisenberg-r", "beurling-scan-omega"])
 def test_sweep_value_breaking_a_rule_stops_before_any_row(tmp_path, monkeypatch, capsys,
                                                           experiment, overrides, param, values,
@@ -597,7 +598,7 @@ def test_layers_import_only_earlier_layers():
     assert wrong == []
 
 
-def test_checks_carry_their_basis(tmp_path):
+def test_checks_carry_their_basis(tmp_path, wavelet, heisenberg, constants):
     # each verdict says what it rests on: an exact test, the grid nodes or a
     # sample, with the sample sizes
     def checks(experiment, model):
@@ -607,7 +608,10 @@ def test_checks_carry_their_basis(tmp_path):
     runs = {experiment: checks(experiment, model) for experiment, model in (
         ("shannon", None), ("beurling-scan", None), ("partition", "r1"), ("oscillation", "r1"),
         ("quasilattice", "rn:2"))}
-    # every check of every line experiment
+    # the session's default runs of the others
+    for report in (wavelet, heisenberg, constants):
+        runs[report["experiment"]] = {c["name"]: c for c in report["checks"]}
+    # every check of every experiment
     assert [(e, n) for e, run in runs.items() for n, c in run.items() if "checked_on" not in c] == []
     # frame bounds: exact eigenvalues of the grid kernel's finite frame operator
     for experiment, names, n_modes in (
@@ -628,7 +632,26 @@ def test_checks_carry_their_basis(tmp_path):
     assert part["partition-invariants"]["checked_on"] == "grid nodes"
     assert part["quasi-interpolation-bound"]["checked_on"] == "sampled"
     osc = runs["oscillation"]["osc-conv-inequality"]
-    # 14 node offsets inside B_0.5 at spacing 1/16, and 2 sphere points at 2 radii
-    assert (osc["checked_on"], osc["n_points"], osc["n_offsets"]) == ("sampled", 400, 18)
+    # 14 node offsets inside B_0.5 at spacing 1/16, and 2 sphere points at 2
+    # radii, of which the two at 0.5 r repeat the node offsets +-4/16
+    assert (osc["checked_on"], osc["n_points"], osc["n_offsets"]) == ("sampled", 400, 16)
     tiling = runs["quasilattice"]["exact-tiling"]
     assert (tiling["checked_on"], tiling["n_nodes"]) == ("grid nodes", 33**2)
+    wav = runs["wavelet-frame"]
+    assert wav["hypothesis-scan"]["checked_on"] == "sampled"
+    for name in ("lower-bound-positive", "tightness-monotone"):
+        assert (wav[name]["checked_on"], wav[name]["n_probes"]) == ("probe subspace", 6), name
+    heis = runs["heisenberg"]
+    lower = heis["lower-ratio-vs-prediction"]
+    assert (lower["checked_on"], lower["n_functions"]) == ("sampled", 8)
+    assert heis["dilation-covariance-angle"]["checked_on"] == "discrete space"
+    const = runs["constants"]
+    assert {name: c["checked_on"] for name, c in const.items()} == {
+        "band-dimension": "discrete space", "homogeneous-dimension": "exact",
+        "bernstein-eigenbasis": "discrete space", "commutator-xy-t": "grid nodes",
+        "haar-scaling": "sampled", "osc-scaling-bound": "sampled",
+        "osc-scaling-linearity": "sampled"}
+    assert const["bernstein-eigenbasis"]["n_modes"] == const["band-dimension"]["dim"]
+    assert const["haar-scaling"]["n_points"] == 4_000_000
+    for name in ("osc-scaling-bound", "osc-scaling-linearity"):
+        assert const[name]["n_functions"] == 8, name
