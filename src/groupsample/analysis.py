@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import Grid, GridFunction, interpolate, shared_grid
-from .groups import UnsupportedModelError
+from .groups import HeisenbergModel, UnsupportedModelError
 from .kernels import SpectralProjector
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "ball_offsets",
     "osc_conv_check",
     "vector_field_apply",
+    "commutator_residual",
     "sublaplacian_matrix",
     "sublaplacian_spectrum",
     "random_bandlimited",
@@ -44,6 +45,7 @@ __all__ = [
 
 # largest |Z| * B pairs (z, x) in one block of osc_conv_check
 _OSC_CONV_BLOCK = 2**17
+_COMMUTATOR_SLAB = 4  # interior rows of axis 0 in one slab of commutator_residual
 
 
 # ---------------------------------------------------------------------------
@@ -233,33 +235,58 @@ def osc_conv_check(f: GridFunction, g: GridFunction, r: float, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def _field_columns(grid, i):
+def _field_columns(grid, i, pts=None):
     """The nonzero chart coefficient columns (d, c_d) of the i-th basis
-    field at the grid's nodes, cached on the grid."""
-    key = ("field", i)
-    if key not in grid._cache:
-        c = grid.model.field_coefficients(i, grid.points())
-        grid._cache[key] = [(d, c[..., d].copy()) for d in range(grid.dim) if np.any(c[..., d] != 0)]
-    return grid._cache[key]
+    field at ``pts``; by default at the grid's nodes, cached on the grid."""
+    if pts is None:
+        if ("field", i) not in grid._cache:
+            grid._cache[("field", i)] = _field_columns(grid, i, grid.points())
+        return grid._cache[("field", i)]
+    c = grid.model.field_coefficients(i, pts)
+    return [(d, c[..., d].copy()) for d in range(grid.dim) if np.any(c[..., d] != 0)]
 
 
-def vector_field_apply(i: int, f: GridFunction) -> GridFunction:
-    """Apply the i-th left-invariant basis field by second-order central
-    differences, zero (Dirichlet) beyond the box."""
-    grid = f.grid
-    v = f.values
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for d, cd in _field_columns(grid, i):
+def _apply_columns(v, columns, spacings):
+    """sum_d c_d dv/dx_d on the array ``v`` by second-order central
+    differences, zero (Dirichlet) beyond its faces."""
+    out = np.zeros(v.shape, dtype=np.complex128)
+    for d, cd in columns:
         ax = (slice(None),) * d
         diff = np.empty_like(v)
         np.subtract(v[ax + (slice(2, None),)], v[ax + (slice(None, -2),)], out=diff[ax + (slice(1, -1),)])
         # each face differences against a zero node beyond the box
         np.subtract(v[ax + (slice(1, 2),)], 0.0, out=diff[ax + (slice(0, 1),)])
         np.subtract(0.0, v[ax + (slice(-2, -1),)], out=diff[ax + (slice(-1, None),)])
-        diff /= 2.0 * grid.spacings[d]
+        diff /= 2.0 * spacings[d]
         diff *= cd
         out += diff
-    return GridFunction(grid, out)
+    return out
+
+
+def vector_field_apply(i: int, f: GridFunction) -> GridFunction:
+    """Apply the i-th left-invariant basis field by second-order central
+    differences, zero (Dirichlet) beyond the box."""
+    return GridFunction(f.grid, _apply_columns(f.values, _field_columns(f.grid, i), f.grid.spacings))
+
+
+def commutator_residual():
+    """sup |([X,Y] - T) f| / sup |T f| for a Gaussian bump of width 2 on the
+    121^3 grid over [-5, 5)^3, a boundary ring of 12 nodes excluded
+    (Dirichlet padding pollutes it).  Only X differences along axis 0, so
+    slabs of its rows with one row of margin each side get the inner rows
+    of the whole grid's X(Yf), Y(Xf) and Tf bit for bit."""
+    ring, grid = 12, Grid.regular(HeisenbergModel(), [-5.0] * 3, [5.0] * 3, (121,) * 3)
+    h, n, inner = grid.spacings, grid.shape[0], np.s_[1:-1, ring:-ring, ring:-ring]
+    comm = tf_max = 0.0
+    for a in range(ring, n - ring, _COMMUTATOR_SLAB):
+        rows = grid.axis(0)[a - 1:min(a + _COMMUTATOR_SLAB, n - ring) + 1]
+        pts = grid.model.from_internal(np.stack(np.meshgrid(rows, grid.axis(1), grid.axis(2), indexing="ij"), -1))
+        f = np.exp(-(pts[..., 0]**2 + pts[..., 1]**2 + pts[..., 2]**2) / 8.0).astype(np.complex128)
+        X, Y, T = (_field_columns(grid, i, pts) for i in range(3))
+        tf = _apply_columns(f, T, h)
+        res = _apply_columns(_apply_columns(f, Y, h), X, h) - _apply_columns(_apply_columns(f, X, h), Y, h) - tf
+        comm, tf_max = max(comm, np.abs(res[inner]).max()), max(tf_max, np.abs(tf[inner]).max())
+    return float(comm / tf_max)
 
 
 def _derivative(tree, alpha):
@@ -360,12 +387,13 @@ def version_hash():
     return digest.hexdigest()[:16]
 
 
-def _cached(kind, grid, omega, cache_dir, compute):
+def _cached(kind, grid, omega, cache_dir, compute, sound=None):
     """The arrays ``compute()`` returns, through ``cache_dir``.
 
     The entry is named by kind, ``version_hash``, grid hash and omega, so a
-    file written by other code is never read.  Each lookup counts as a hit
-    or a miss in ``CACHE_COUNTS``.  A write goes to a temporary file that
+    file written by other code is never read, and an entry that fails
+    ``sound`` is recomputed.  Each lookup counts as a hit or a miss in
+    ``CACHE_COUNTS``.  A write (uncompressed) goes to a temporary file that
     replaces the entry only when complete, so a failed or killed writer
     leaves no partial entry; then the entries of the same kind, grid and
     omega that other code versions wrote are deleted.  Without a directory
@@ -377,16 +405,18 @@ def _cached(kind, grid, omega, cache_dir, compute):
     name = f"{kind}-{version_hash()}-{entry}"
     path = os.path.join(cache_dir, name)
     if os.path.exists(path):
-        CACHE_COUNTS["hits"] += 1
         with np.load(path) as data:
-            return {k: data[k] for k in data.files}
+            arrays = {k: data[k] for k in data.files}
+        if sound is None or sound(arrays):
+            CACHE_COUNTS["hits"] += 1
+            return arrays
     arrays = compute()
     CACHE_COUNTS["misses"] += 1
     os.makedirs(cache_dir, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            np.savez(fh, **arrays)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -404,15 +434,24 @@ def sublaplacian_spectrum(grid: Grid, omega: float, cache_dir: str | None = None
 
     Rejects bandwidths beyond a quarter of the largest discrete eigenvalue:
     such modes are not resolved by the grid.  Eigenpairs are cached on disk
-    (``_cached``).  Lanczos starts from a fixed vector and restarts with
-    twice the eigenpair count, up to 400, from one sparse LU factorization
-    of the matrix; each eigenvector's largest-modulus entry is positive, so
-    a cold solve repeats bit for bit.
+    (``_cached``) and served while every ||L v - lambda v|| / ||v|| <= 1e-9.
+    Lanczos starts from a fixed vector and restarts with twice the eigenpair
+    count, up to 400, from one sparse LU factorization of the matrix; each
+    eigenvector's largest-modulus entry is positive, so a cold solve repeats
+    bit for bit.
     """
     if omega <= 0:
         raise ValueError("bandwidth must be positive")
-    data = _cached("spectrum", grid, omega, cache_dir, lambda: _band_eigenpairs(grid, omega))
+    data = _cached("spectrum", grid, omega, cache_dir, lambda: _band_eigenpairs(grid, omega),
+                   lambda d: _eigen_residual(grid, d["vals"], d["vecs"]) <= 1e-9)
     return SpectralProjector(grid, omega, data["vals"], data["vecs"].reshape((-1,) + grid.shape))
+
+
+def _eigen_residual(grid, vals, vecs):
+    """max_i ||L v_i - lambda_i v_i|| / ||v_i||, one eigenvector a row."""
+    V = vecs.reshape(len(vals), -1).T
+    R = sublaplacian_matrix(grid) @ V - V * vals
+    return np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0), initial=0.0)
 
 
 def _band_eigenpairs(grid, omega):

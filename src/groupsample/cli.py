@@ -13,8 +13,8 @@ Each check's bound is fixed in the code.  Each run writes ``report.json`` and
 ``table.csv`` (plus ``points.csv`` for a central point set) into the output
 directory.  Exit status: 0 when every check passes or is hypothesis-not-met,
 1 on a check failure, 2 on usage or config errors.  Numbers come from library
-calls, except ``commutator_residual``, ``haar_scaling_ratio``, ``constants``'
-Bernstein ratio and the sweep trends, which are computed here.
+calls, except ``haar_scaling_ratio``, ``constants``' Bernstein ratio and the
+sweep trends, which are computed here.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import sys
 import time
 
@@ -44,7 +45,7 @@ from .pointsets import (
 from .analysis import (
     osc_conv_check,
     oscillation,
-    vector_field_apply,
+    commutator_residual,
     sublaplacian_matrix,
     sublaplacian_spectrum,
     random_bandlimited,
@@ -80,7 +81,7 @@ _SCALAR_KEYS = {
 _H1_HALF = 7.0  # the H^1 experiments' chart box is [-_H1_HALF, _H1_HALF)^3
 # the line grid over [-32, 32) of beurling-scan, shannon's envelope and partition r1
 _LINE_GRID = Grid.regular(EuclideanModel(1), [-32.0], [32.0], (2048,))
-_HAAR_POINTS = 4_000_000  # Monte Carlo sample of haar_scaling_ratio
+_HAAR_POINTS, _HAAR_BLOCK = 4_000_000, 250_000  # haar_scaling_ratio's sample, drawn in blocks
 
 
 class ConfigError(ValueError):
@@ -284,29 +285,12 @@ def haar_scaling_ratio(model, t, seed):
     and not by a change of variables."""
     rng = np.random.default_rng(seed)
     box = np.array([t, t, t * t / 4.0])
-    pts = rng.uniform(-1.0, 1.0, size=(_HAAR_POINTS, 3)) * box
-    g = model.norm(pts)
-    c1 = np.count_nonzero(g <= 1.0)
-    ct = np.count_nonzero(g <= t)
+    c1 = ct = 0
+    for _ in range(_HAAR_POINTS // _HAAR_BLOCK):
+        g = model.norm(rng.uniform(-1.0, 1.0, size=(_HAAR_BLOCK, 3)) * box)
+        c1 += np.count_nonzero(g <= 1.0)
+        ct += np.count_nonzero(g <= t)
     return ct / c1
-
-
-def commutator_residual():
-    """sup |([X,Y] - T) f| / sup |T f| for a Gaussian bump of width 2 on the
-    121^3 grid over [-5, 5)^3, a boundary ring of 12 nodes excluded
-    (Dirichlet padding pollutes it)."""
-    ring = 12
-    grid = Grid.regular(HeisenbergModel(), [-5.0] * 3, [5.0] * 3, (121,) * 3)
-    f = GridFunction.from_callable(
-        grid, lambda x, y, t: np.exp(-(x**2 + y**2 + t**2) / 8.0)
-    )
-    xy = vector_field_apply(0, vector_field_apply(1, f))
-    yx = vector_field_apply(1, vector_field_apply(0, f))
-    tf = vector_field_apply(2, f)
-    comm = xy.values - yx.values - tf.values
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[ring:-ring, ring:-ring, ring:-ring] = True
-    return float(np.abs(comm[mask]).max() / np.abs(tf.values[mask]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +563,19 @@ def _exp_oscillation(cfg):
     return checks, ("pair", "max_violation", "rhs_scale"), rows, None
 
 
+def _phase(phases, name, t0):
+    """Record step ``name`` in ``phases``: its wall seconds since ``t0`` and
+    the process's peak RSS after it; returns the time now."""
+    t = time.perf_counter()
+    phases.append({"name": name, "wall_s": t - t0,
+                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0})
+    return t
+
+
 def _exp_constants(cfg):
+    phases, clock = [], time.perf_counter()
     proj = _h1_projector(cfg)
+    clock = _phase(phases, "projector", clock)
     grid, omega, model = proj.grid, proj.omega, proj.grid.model
     checks = [
         _check("band-dimension", proj.dim >= 20, dim=proj.dim, checked_on="discrete space"),
@@ -595,15 +590,20 @@ def _exp_constants(cfg):
     checks.append(_check("bernstein-eigenbasis", worst <= omega * (1 + 1e-9),
                          max_ratio=worst, omega=omega, checked_on="discrete space",
                          n_modes=proj.dim))
+    clock = _phase(phases, "bernstein-eigenbasis", clock)
     res = commutator_residual()
     checks.append(_check("commutator-xy-t", res < 1e-3, residual=res, checked_on="grid nodes"))
+    clock = _phase(phases, "commutator-xy-t", clock)
     t = 1.3
     ratio = haar_scaling_ratio(model, t, cfg.seed)
     checks.append(_check("haar-scaling", abs(ratio / t**4 - 1.0) < 1e-2,
                          ratio=ratio, expected=t**4, checked_on="sampled",
                          n_points=_HAAR_POINTS))
+    clock = _phase(phases, "haar-scaling", clock)
     c_g, b_verified = oscillation_constant(proj, _cache_dir(cfg))
+    clock = _phase(phases, "c_g", clock)
     scal = oscillation_scaling_check(proj, (0.1, 0.2, 0.4), seed=cfg.seed)
+    _phase(phases, "osc-scaling", clock)
     rows = [
         {"r": row["r"], "max_ratio": row["max_ratio"],
          "ratio_over_r": row["max_ratio"] / row["r"], "bound": row["r"] * c_g}
@@ -616,7 +616,7 @@ def _exp_constants(cfg):
                          scal["ratio_over_r_spread"] < 0.25,
                          spread=scal["ratio_over_r_spread"], slope=scal["slope"],
                          r_squared=scal["r_squared"], **basis))
-    return checks, ("r", "max_ratio", "ratio_over_r", "bound"), rows, None
+    return checks, ("r", "max_ratio", "ratio_over_r", "bound"), rows, None, {"phases": phases}
 
 
 def _cache_dir(cfg):
@@ -646,10 +646,11 @@ def _report(experiment, config, checks, start, **extra):
 
 
 def run_experiment(cfg):
-    """Execute one experiment; returns (report dict, header, rows, pointset)."""
+    """Execute one experiment; returns (report dict, header, rows, pointset).
+    A runner may return a fifth item, a dict of extra report keys."""
     start = _start()
-    checks, header, rows, pointset = _EXPERIMENTS[cfg.experiment][0](cfg)
-    return _report(cfg.experiment, cfg.echo(), checks, start), header, rows, pointset
+    checks, header, rows, pointset, *extra = _EXPERIMENTS[cfg.experiment][0](cfg)
+    return _report(cfg.experiment, cfg.echo(), checks, start, **dict(*extra)), header, rows, pointset
 
 
 def _emit(cfg, report, header, rows, pointset):

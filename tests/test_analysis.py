@@ -351,7 +351,7 @@ def _broken_savez(file, **arrays):
 
 def test_spectrum_cache_write_is_atomic(tmp_path, monkeypatch):
     grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
-    monkeypatch.setattr(analysis.np, "savez_compressed", _broken_savez)
+    monkeypatch.setattr(analysis.np, "savez", _broken_savez)
     with pytest.raises(OSError):
         sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
     # neither the final file nor the temporary one is left behind
@@ -362,6 +362,25 @@ def test_spectrum_cache_write_is_atomic(tmp_path, monkeypatch):
     assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
     again = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
     assert np.array_equal(again.eigenvalues, proj.eigenvalues)
+
+
+def test_spectrum_cache_serves_only_eigenpairs_that_hold(tmp_path):
+    # an entry whose eigenpairs miss L v = lambda v by more than 1e-9 is
+    # recomputed, rewritten and counted as a miss; an intact one is a hit
+    grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
+    cold = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+    assert analysis._eigen_residual(grid, cold.eigenvalues, cold.eigenvectors) <= 1e-12
+    (path,) = tmp_path.glob("spectrum-*.npz")
+    vecs = cold.eigenvectors.copy()
+    vecs[3].flat[100] += 1e-6 * np.abs(vecs[3]).max()
+    np.savez(path, vals=cold.eigenvalues, vecs=vecs.reshape(len(vecs), -1))
+    for served in ("misses", "hits"):
+        counts0 = dict(analysis.CACHE_COUNTS)
+        proj = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+        assert {k: analysis.CACHE_COUNTS[k] - v for k, v in counts0.items()} == {
+            "hits": int(served == "hits"), "misses": int(served == "misses")}
+        assert _sha(proj.eigenvalues) == _sha(cold.eigenvalues)
+        assert _sha(proj.eigenvectors) == _sha(cold.eigenvectors)
 
 
 def test_cache_serves_no_entry_from_other_code(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 import groupsample.analysis as analysis
 import groupsample.cli as cli
-from groupsample import ConstantEstimates, Grid, HeisenbergModel, SpectralProjector
+from groupsample import ConstantEstimates, Grid, GridFunction, HeisenbergModel, SpectralProjector
 from groupsample.cli import (
     ConfigError,
     ExperimentConfig,
@@ -476,7 +476,7 @@ def test_constants_cache_write_is_atomic(tmp_path, monkeypatch):
         raise OSError("no space left on device")
 
     with monkeypatch.context() as m, pytest.raises(OSError):
-        m.setattr(analysis.np, "savez_compressed", broken_savez)
+        m.setattr(analysis.np, "savez", broken_savez)
         analysis.oscillation_constant(proj, str(tmp_path))
     assert list(tmp_path.iterdir()) == []
 
@@ -655,3 +655,67 @@ def test_checks_carry_their_basis(tmp_path, wavelet, heisenberg, constants):
     assert const["haar-scaling"]["n_points"] == 4_000_000
     for name in ("osc-scaling-bound", "osc-scaling-linearity"):
         assert const[name]["n_functions"] == 8, name
+
+
+def _commutator_reference():
+    """The full-grid commutator residual: every field applied to all 121^3
+    nodes, then the interior masked."""
+    ring = 12
+    grid = Grid.regular(HeisenbergModel(), [-5.0] * 3, [5.0] * 3, (121,) * 3)
+    f = GridFunction.from_callable(grid, lambda x, y, t: np.exp(-(x**2 + y**2 + t**2) / 8.0))
+    apply = analysis.vector_field_apply
+    xy = apply(0, apply(1, f))
+    yx = apply(1, apply(0, f))
+    tf = apply(2, f)
+    comm = xy.values - yx.values - tf.values
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[ring:-ring, ring:-ring, ring:-ring] = True
+    return float(np.abs(comm[mask]).max() / np.abs(tf.values[mask]).max())
+
+
+def _haar_reference(model, t, seed):
+    """The Haar scaling ratio from one draw of all its points."""
+    rng = np.random.default_rng(seed)
+    box = np.array([t, t, t * t / 4.0])
+    g = model.norm(rng.uniform(-1.0, 1.0, size=(cli._HAAR_POINTS, 3)) * box)
+    return np.count_nonzero(g <= t) / np.count_nonzero(g <= 1.0)
+
+
+def test_sanity_checks_match_their_whole_grid_references(monkeypatch):
+    # the slabs (one that leaves a remainder of the 97 interior rows, one
+    # row, the default) and the blocks change no bit of either number
+    ref = _commutator_reference()
+    for slab in (5, 1, analysis._COMMUTATOR_SLAB):
+        monkeypatch.setattr(analysis, "_COMMUTATOR_SLAB", slab)
+        assert analysis.commutator_residual() == ref, slab
+    for seed in (0, 3):
+        assert cli.haar_scaling_ratio(HeisenbergModel(), 1.3, seed) == _haar_reference(
+            HeisenbergModel(), 1.3, seed), seed
+
+
+@pytest.mark.parametrize("call", [
+    "groupsample.analysis.commutator_residual()",
+    "groupsample.cli.haar_scaling_ratio(groupsample.HeisenbergModel(), 1.3, 0)"])
+def test_sanity_checks_run_in_bounded_memory(call):
+    # each grows the peak RSS of a fresh process by at most 60 MB over its
+    # value after import (the whole-grid versions grew it by about 266 and
+    # 184 MB)
+    code = ("import resource, groupsample, groupsample.cli; "
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024; "
+            f"before = peak(); {call}; print(peak() - before)")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert float(out.stdout) <= 60.0
+
+
+def test_constants_reports_each_step(constants):
+    # wall seconds and the peak RSS so far after each step, in order
+    phases = constants["phases"]
+    assert [p["name"] for p in phases] == [
+        "projector", "bernstein-eigenbasis", "commutator-xy-t", "haar-scaling", "c_g",
+        "osc-scaling"]
+    assert all(p["wall_s"] >= 0.0 for p in phases)
+    peaks = [p["peak_rss_mb"] for p in phases]
+    assert peaks == sorted(peaks) and peaks[0] > 0.0
