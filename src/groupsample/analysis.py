@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +113,10 @@ def oscillation(fs, r: float) -> list:
     GridFunction per function, in order.
 
     The sup runs over a deterministic sample of the ball (``ball_offsets``:
-    node offsets plus interpolated boundary shells); it is therefore an
-    under-estimate of the continuum sup, which every inequality check here
-    accounts for.
+    node offsets plus interpolated boundary shells), so it is a lower
+    estimate of the continuum sup: conservative only where osc stands on the
+    large side of a check (||f - Qf|| <= ||osc f||), not where it must be
+    small (``osc-scaling-bound``, the epsilon < 1 of ``theorem35_verdict``).
     """
     grid = shared_grid(fs)
     return _oscillation(grid, fs, ball_offsets(grid.model, r, grid.spacings))
@@ -391,13 +393,13 @@ def _cached(kind, grid, omega, cache_dir, compute, sound=None):
     """The arrays ``compute()`` returns, through ``cache_dir``.
 
     The entry is named by kind, ``version_hash``, grid hash and omega, so a
-    file written by other code is never read, and an entry that fails
-    ``sound`` is recomputed.  Each lookup counts as a hit or a miss in
-    ``CACHE_COUNTS``.  A write (uncompressed) goes to a temporary file that
-    replaces the entry only when complete, so a failed or killed writer
-    leaves no partial entry; then the entries of the same kind, grid and
-    omega that other code versions wrote are deleted.  Without a directory
-    nothing is cached or counted.
+    file written by other code is never read, and an entry that cannot be
+    read or fails ``sound`` is recomputed.  Each lookup counts as a hit or a
+    miss in ``CACHE_COUNTS``.  A write (uncompressed) goes to a temporary
+    file that replaces the entry only when complete, so a failed or killed
+    writer leaves no partial entry; then the entries of the same kind, grid
+    and omega that other code versions wrote are deleted.  Without a
+    directory nothing is cached or counted.
     """
     if not cache_dir:
         return compute()
@@ -405,9 +407,13 @@ def _cached(kind, grid, omega, cache_dir, compute, sound=None):
     name = f"{kind}-{version_hash()}-{entry}"
     path = os.path.join(cache_dir, name)
     if os.path.exists(path):
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        if sound is None or sound(arrays):
+        try:
+            # an open file of our own: np.load leaks its own when a zip fails
+            with open(path, "rb") as fh, np.load(fh) as data:
+                arrays = {k: data[k] for k in data.files}
+        except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError):
+            arrays = None  # unreadable, so recomputed like an unsound entry
+        if arrays is not None and (sound is None or sound(arrays)):
             CACHE_COUNTS["hits"] += 1
             return arrays
     arrays = compute()

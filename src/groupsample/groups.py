@@ -174,10 +174,6 @@ class GroupModel:
         dd = self.gauge(self.mul(self.inv(g2)[None, :], pts))
         return bool(np.any(dd < s - 1e-12))
 
-    def random_points(self, n, scale=1.0, rng=None) -> np.ndarray:
-        rng = np.random.default_rng(rng)
-        return self.from_internal(rng.normal(scale=scale, size=(n, self.dim)))
-
     def __repr__(self):
         return f"<GroupModel {self.model_id()}>"
 

@@ -383,6 +383,23 @@ def test_spectrum_cache_serves_only_eigenpairs_that_hold(tmp_path):
         assert _sha(proj.eigenvectors) == _sha(cold.eigenvectors)
 
 
+@pytest.mark.parametrize("content", [b"PK\x03\x04 truncated", b""], ids=["truncated-zip", "empty"])
+def test_spectrum_cache_recomputes_an_unreadable_entry(tmp_path, content):
+    # an entry np.load cannot read is recomputed to the cold solve, rewritten
+    # and counted as a miss; the rewritten entry is then a hit
+    grid = Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (9,) * 3)
+    cold = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("spectrum-*.npz")
+    path.write_bytes(content)
+    for served in ("misses", "hits"):
+        counts0 = dict(analysis.CACHE_COUNTS)
+        proj = sublaplacian_spectrum(grid, 1.0, cache_dir=str(tmp_path))
+        assert {k: analysis.CACHE_COUNTS[k] - v for k, v in counts0.items()} == {
+            "hits": int(served == "hits"), "misses": int(served == "misses")}
+        assert _sha(proj.eigenvalues) == _sha(cold.eigenvalues)
+        assert _sha(proj.eigenvectors) == _sha(cold.eigenvectors)
+
+
 def test_cache_serves_no_entry_from_other_code(tmp_path, monkeypatch):
     # entries written under another version_hash are never read, for both
     # kinds: the lookups miss and recompute

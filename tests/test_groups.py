@@ -9,15 +9,17 @@ from groupsample import (
 )
 from groupsample.groups import UnsupportedModelError
 
+from helpers import random_points
+
 MODELS = [EuclideanModel(1), EuclideanModel(2), AffineModel(), HeisenbergModel()]
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.model_id())
 def test_group_axioms(model):
     rng = np.random.default_rng(7)
-    g = model.random_points(64, rng=rng)
-    h = model.random_points(64, rng=rng)
-    k = model.random_points(64, rng=rng)
+    g = random_points(model, 64, rng=rng)
+    h = random_points(model, 64, rng=rng)
+    k = random_points(model, 64, rng=rng)
     e = model.identity()
     assert np.allclose(model.mul(g, e[None, :]), g)
     assert np.allclose(model.mul(e[None, :], g), g)
@@ -34,7 +36,7 @@ def test_group_axioms(model):
 )
 def test_norm_symmetric_positive(model):
     rng = np.random.default_rng(3)
-    g = model.random_points(64, rng=rng)
+    g = random_points(model, 64, rng=rng)
     n = model.norm(g)
     assert np.all(n >= 0)
     assert np.allclose(model.norm(model.inv(g)), n, rtol=1e-10)
@@ -48,7 +50,7 @@ def test_norm_symmetric_positive(model):
 )
 def test_gauge_homogeneity(model, q):
     rng = np.random.default_rng(5)
-    g = model.random_points(32, rng=rng)
+    g = random_points(model, 32, rng=rng)
     for t in (0.5, 2.0, 3.7):
         assert np.allclose(model.norm(model.dilate(t, g)), t * model.norm(g), rtol=1e-10)
     assert model.homogeneous_dimension == q
@@ -78,8 +80,8 @@ def test_heisenberg_gauge_subadditive():
     model = HeisenbergModel()
     rng = np.random.default_rng(1)
     for scale in (0.1, 1.0, 10.0):
-        x = model.random_points(20000, scale=scale, rng=rng)
-        y = model.random_points(20000, scale=scale, rng=rng)
+        x = random_points(model, 20000, scale=scale, rng=rng)
+        y = random_points(model, 20000, scale=scale, rng=rng)
         lhs = model.gauge(model.mul(x, y))
         rhs = model.gauge(x) + model.gauge(y)
         assert np.all(lhs <= rhs * (1 + 1e-12))
@@ -114,9 +116,9 @@ def test_gauge_grows_with_internal_coordinates(model):
 def test_ball_box_holds_ball(model):
     rng = np.random.default_rng(4)
     r = 1.3
-    z = model.random_points(4000, scale=1.0, rng=rng)
+    z = random_points(model, 4000, scale=1.0, rng=rng)
     z = z[model.gauge(z) < r]
-    p = model.random_points(len(z), scale=3.0, rng=rng)
+    p = random_points(model, len(z), scale=3.0, rng=rng)
     lo, hi, shear = model.ball_box(p, r)
     u = model.to_internal(model.mul(p, z))
     assert np.all((u[:, :-1] >= lo[:, :-1]) & (u[:, :-1] <= hi[:, :-1]))

@@ -19,6 +19,8 @@ from groupsample import (
 )
 from groupsample.pointsets import hyperbolic_lattice, _near_pairs
 
+from helpers import random_points
+
 NEAR_MODELS = [EuclideanModel(1), EuclideanModel(2), AffineModel(), HeisenbergModel()]
 
 
@@ -247,17 +249,17 @@ def test_near_pairs_match_dense_reference(model):
     grid = Grid.regular(model, [-3.0] * model.dim, [3.0] * model.dim, 9)
     nodes = grid.points().reshape(-1, model.dim)
     cases = [
-        (model.random_points(300, scale=2.0, rng=rng), 40, 0.3),
-        (model.random_points(200, scale=2.0, rng=rng), 60, 1.7),
+        (random_points(model, 300, scale=2.0, rng=rng), 40, 0.3),
+        (random_points(model, 200, scale=2.0, rng=rng), 60, 1.7),
         (nodes, 50, 1.0),
         (nodes, 25, 2.6),
-        (model.random_points(1, rng=rng), 9, 0.8),
+        (random_points(model, 1, rng=rng), 9, 0.8),
         (nodes[:40], 30, np.inf),
     ]
     for x, n_pts, r in cases:
-        _assert_near_pairs_exact(model, x, model.random_points(n_pts, scale=2.0, rng=rng), r)
+        _assert_near_pairs_exact(model, x, random_points(model, n_pts, scale=2.0, rng=rng), r)
     # a point set against itself, as in verify_separated
-    pts = model.random_points(80, scale=2.0, rng=rng)
+    pts = random_points(model, 80, scale=2.0, rng=rng)
     _assert_near_pairs_exact(model, pts, pts, 0.9)
     # off-centre balls, where the H1 group law shears the central axis most:
     # centres with |p_x|, |p_y| up to 7 against the nodes of [-7, 7)^dim
@@ -361,3 +363,85 @@ def test_h1_partition_geometry_pinned(k):
     part = build_partition(ps, 0.4, 2.6, shape=9)
     assert hashlib.sha256(part.assignment.astype(np.int64).tobytes()).hexdigest() == digest
     assert part.check_invariants() == {"covered": True, "inside_u": True, "w_contained": True}
+
+
+def _dense_two_pass(ps, r, shape):
+    """verify_dense's search before the radius ladder, as a reference: every
+    point within r of every node, then the whole set for the nodes that
+    found none.  Returns (passed, worst_distance, witness)."""
+    model = ps.model
+    grid = Grid.regular(model, ps.lo, ps.hi, shape)
+    x = grid.points().reshape(-1, model.dim)
+    dist = np.full(len(x), np.inf)
+    i, _, d = _near_pairs(model, x, ps.points, r)
+    np.minimum.at(dist, i, d)
+    far = np.flatnonzero(np.isinf(dist))
+    step = max(1, (1 << 18) // len(ps))
+    for start in range(0, len(far), step):
+        blk = far[start : start + step]
+        i, _, d = _near_pairs(model, x[blk], ps.points, np.inf)
+        np.minimum.at(dist, blk[i], d)
+    k = int(np.argmax(dist))
+    passed = bool(dist[k] < r)
+    return passed, float(dist[k]), None if passed else x[k]
+
+
+def _dense_digest(passed, worst, witness):
+    h = hashlib.sha256(repr((passed, worst)).encode())
+    h.update(b"" if witness is None else np.asarray(witness).tobytes())
+    return h.hexdigest()
+
+
+def _h1_lattice0():
+    from groupsample.cli import _h1_jittered_lattice
+
+    return _h1_jittered_lattice(HeisenbergModel(), 0)
+
+
+@pytest.mark.parametrize(
+    "make_ps,r,shape,passed",
+    [
+        (lambda: _jittered(EuclideanModel(1), [-4.0], [4.0], 16, 0.3, seed=1), 0.6, 129, True),
+        (lambda: _jittered(EuclideanModel(1), [-4.0], [4.0], 16, 0.3, seed=1), 0.3, 129, False),
+        # a hole: most nodes find no point within r and go on to the whole set
+        (lambda: PointSet(EuclideanModel(1), np.array([[0.0], [4.0]]), [0.0], [4.5]), 0.5, 128, False),
+        (lambda: _jittered(EuclideanModel(2), [-2.0] * 2, [2.0] * 2, 6, 0.3, seed=2), 1.0, 33, True),
+        (lambda: _jittered(EuclideanModel(2), [-2.0] * 2, [2.0] * 2, 6, 0.3, seed=2), 0.5, 33, False),
+        (lambda: _jittered(AffineModel(), [-1.0, -2.0], [1.0, 2.0], 6, 0.3, seed=3), 1.0, 25, True),
+        (lambda: _jittered(AffineModel(), [-1.0, -2.0], [1.0, 2.0], 6, 0.3, seed=3), 0.4, 25, False),
+        (_h1_lattice0, 2.6, 17, True),
+        # 4 nodes have no point within 1.5 and reach the search of the whole set
+        (_h1_lattice0, 1.5, 17, False),
+    ],
+    ids=["r1-pass", "r1-fail", "r1-hole", "rn2-pass", "rn2-fail", "affine-pass", "affine-fail",
+         "heis1-pass", "heis1-fail"],
+)
+def test_verify_dense_ladder_matches_two_pass_reference(make_ps, r, shape, passed):
+    ps = make_ps()
+    ref = _dense_two_pass(ps, r, shape)
+    cert = verify_dense(ps, r, shape=shape)
+    assert ref[0] is passed
+    assert _dense_digest(cert.passed, cert.detail["worst_distance"], cert.witness) == _dense_digest(*ref)
+
+
+def test_verify_dense_searches_near_first(monkeypatch):
+    from groupsample import pointsets
+
+    calls = []
+
+    def spy(model, x, pts, r):
+        out = _near_pairs(model, x, pts, r)
+        calls.append((r, len(x), len(out[0])))
+        return out
+
+    monkeypatch.setattr(pointsets, "_near_pairs", spy)
+    ps = _h1_lattice0()
+    assert verify_dense(ps, 2.6, shape=17).passed
+    # every node finds a point within r, so the whole set is never searched;
+    # the single pass within r enumerated 112,146 pairs
+    assert [c[0] for c in calls] == [1.3, 2.6]
+    assert sum(c[2] for c in calls) <= 20_000
+    calls.clear()
+    assert not verify_dense(ps, 1.5, shape=17).passed
+    assert [c[0] for c in calls] == [0.75, 1.5, np.inf]
+    assert calls[-1][1] == 4
