@@ -41,7 +41,7 @@ __all__ = [
     "oscillation_constant",
     "version_hash",
     "oscillation_scaling_check",
-    "projector_dilation_angle",
+    "dilation_residual",
 ]
 
 # largest |Z| * B pairs (z, x) in one block of osc_conv_check
@@ -704,22 +704,10 @@ def oscillation_scaling_check(proj_e1: SpectralProjector, r_list, seed: int = 0)
     }
 
 
-def projector_dilation_angle(
-    proj: SpectralProjector, t: float, cache_dir: str | None = None
-) -> float:
-    """Largest principal angle between U_t E_omega and E_{omega/t^2} on delta_t(grid)."""
-    grid = proj.grid
-    model = grid.model
-    q = model.homogeneous_dimension
-    grid2 = grid.dilated(t)
-    proj2 = sublaplacian_spectrum(grid2, proj.omega / t**2, cache_dir=cache_dir)
-    # U_t f = t^{-Q/2} f(delta_{1/t} .): node values transport unchanged up to scale
-    a = proj.basis_matrix() * t ** (-q / 2.0)
-    bmat = proj2.basis_matrix()
-    cell2 = float(np.prod(grid2.spacings))
-    gram = (bmat.conj() * cell2) @ a.T
-    s = np.linalg.svd(gram, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    if len(s) < max(proj.dim, proj2.dim):
-        return math.pi / 2.0
-    return float(np.arccos(np.min(s)))
+def dilation_residual(grid: Grid, t: float) -> float:
+    """max |L(delta_t grid) - t^-2 L(grid)| / max |t^-2 L(grid)| over every
+    entry of the two ``sublaplacian_matrix`` assemblies: the homogeneity of
+    degree 2 that carries the band E_omega onto E_{omega/t^2} under delta_t.
+    A homogeneous discretization leaves only rounding (about 1e-16)."""
+    scaled = sublaplacian_matrix(grid) * t**-2.0
+    return float(abs(sublaplacian_matrix(grid.dilated(t)) - scaled).max() / abs(scaled).max())

@@ -115,7 +115,7 @@ def test_criterion_09_heisenberg_lattice(heisenberg):
     c = _passes(heisenberg, "lower-ratio-vs-prediction")
     assert c["ratio_min"] >= 0.9 * c["a_pred"]
     a = _passes(heisenberg, "dilation-covariance-angle")
-    assert a["angle"] <= 5e-2
+    assert a["residual"] <= 1e-12
 
 
 def test_criterion_10_beurling_regime(beurling):

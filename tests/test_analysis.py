@@ -25,7 +25,8 @@ from groupsample import (
     ConstantEstimates,
     SpectralProjector,
 )
-from groupsample.analysis import projector_dilation_angle
+from groupsample.analysis import dilation_residual
+from groupsample.cli import ExperimentConfig, run_experiment
 from groupsample.groups import UnsupportedModelError, model_from_id
 
 
@@ -334,9 +335,39 @@ def test_scaling_check_rejects_large_radius(h1_proj):
         oscillation_scaling_check(h1_proj, (0.5, 2.0))
 
 
-def test_dilation_angle_small(h1_proj, cache_dir):
-    angle = projector_dilation_angle(h1_proj, 2.0**-0.25, cache_dir=cache_dir)
-    assert angle <= 5e-2
+def _chart_grid(n):
+    return Grid.regular(HeisenbergModel(), [-7.0] * 3, [7.0] * 3, (n,) * 3)
+
+
+def test_dilation_residual_is_rounding():
+    # the discrete sub-Laplacian is homogeneous of degree 2 entry by entry:
+    # 3.4e-16 to 5.7e-16 on these grids
+    for n in (9, 17, 33):
+        for t in (2.0**-0.25, 1.3):
+            assert dilation_residual(_chart_grid(n), t) <= 1e-14, (n, t)
+
+
+def test_dilation_covariance_fails_an_inhomogeneous_field(tmp_path, monkeypatch):
+    # X + 0.3 d_t is not homogeneous, so L(delta_t grid) != t^-2 L(grid); the
+    # projector angle this check replaced failed here too (0.15 at 9^3).  A
+    # doubled twist (y in place of y/2) is homogeneous and passes both the
+    # angle and the residual; commutator-xy-t catches that one.
+    field = HeisenbergModel.field_coefficients
+
+    def skewed(self, i, pts):
+        c = field(self, i, pts)
+        if i == 0:
+            c[..., 2] += 0.3
+        return c
+
+    monkeypatch.setattr(HeisenbergModel, "field_coefficients", skewed)
+    assert dilation_residual(_chart_grid(9), 2.0**-0.25) > 1e-3
+    # a cache of its own: the mutant leaves the version hash as it is
+    monkeypatch.setenv("GROUPSAMPLE_CACHE", str(tmp_path / "cache"))
+    cfg = ExperimentConfig(experiment="heisenberg", resolution=9,
+                           outdir=str(tmp_path / "out")).validate()
+    checks = {c["name"]: c for c in run_experiment(cfg)[0]["checks"]}
+    assert checks["dilation-covariance-angle"]["verdict"] == "fail"
 
 
 def _broken_savez(file, **arrays):

@@ -403,17 +403,37 @@ def test_line_experiments_match_reference(tmp_path):
 
 
 def test_report_counts_every_cache_lookup(tmp_path, monkeypatch):
-    # heisenberg reads three cache entries: the band projector, C_G, and the
-    # dilated projector of the dilation-angle check
+    # heisenberg reads two cache entries, the band projector and C_G; its
+    # dilation check assembles two operators and reads no cache
     cache = tmp_path / "cache"
     monkeypatch.setenv("GROUPSAMPLE_CACHE", str(cache))
     cfg = ExperimentConfig(experiment="heisenberg", resolution=9,
                            outdir=str(tmp_path / "out")).validate()
     first = run_experiment(cfg)[0]["cache"]
-    assert len(list(cache.iterdir())) == 3
-    assert (first["misses"], first["hits"]) == (3, 0)
+    assert len(list(cache.iterdir())) == 2
+    assert (first["misses"], first["hits"]) == (2, 0)
     again = run_experiment(cfg)[0]["cache"]
-    assert (again["misses"], again["hits"]) == (0, 3)
+    assert (again["misses"], again["hits"]) == (0, 2)
+
+
+def test_heisenberg_sweep_rows_skip_the_dilation_check(tmp_path, monkeypatch):
+    # a sweep row reads only the ratios; the dilation check is the run's alone,
+    # and no row solves a band on a dilated grid
+    grids, dilations = [], []
+    spectrum = analysis.sublaplacian_spectrum
+
+    def spy(grid, *a, **k):
+        grids.append(grid)
+        return spectrum(grid, *a, **k)
+
+    monkeypatch.setattr(cli, "sublaplacian_spectrum", spy)
+    monkeypatch.setattr(analysis, "sublaplacian_spectrum", spy)
+    monkeypatch.setattr(cli, "dilation_residual", lambda *a: dilations.append(a))
+    path = _write(tmp_path, f"experiment = heisenberg\nresolution = 9\noutdir = {tmp_path / 'out'}\n")
+    main(["sweep", path, "--param", "omega", "--values", "1.0", "1.2"])
+    assert len(grids) == 2
+    assert dilations == []
+    assert all(np.array_equal(g.lo, [-7.0] * 3) and np.array_equal(g.hi, [7.0] * 3) for g in grids)
 
 
 def test_heisenberg_exits_2_when_the_k_ball_holds_no_node(tmp_path, monkeypatch, capsys):
@@ -491,14 +511,15 @@ def test_constants_cache_write_is_atomic(tmp_path, monkeypatch):
 
 def test_sweep_omega_keeps_one_constants_entry_per_omega(tmp_path, monkeypatch):
     # omegas that agree to 6 significant digits are two bands, so two C_G
-    # entries: the second value reads none of the first value's entries
+    # entries: the second value reads none of the first value's entries, and
+    # each value misses on its band projector and its C_G
     cache = tmp_path / "cache"
     monkeypatch.setenv("GROUPSAMPLE_CACHE", str(cache))
     out = tmp_path / "out"
     path = _write(tmp_path, f"experiment = heisenberg\nresolution = 9\noutdir = {out}\n")
     assert main(["sweep", path, "--param", "omega", "--values", "1.0", "1.0000001"]) != 2
     report = json.loads((out / "report.json").read_text())
-    assert report["cache"] == {"hits": 0, "misses": 6}
+    assert report["cache"] == {"hits": 0, "misses": 4}
     assert len([p for p in cache.iterdir() if p.name.startswith("constants-")]) == 2
 
 
@@ -708,6 +729,14 @@ def test_sanity_checks_run_in_bounded_memory(call):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=300)
     assert float(out.stdout) <= 60.0
+
+
+def test_heisenberg_reports_each_step(heisenberg):
+    phases = heisenberg["phases"]
+    assert [p["name"] for p in phases] == ["projector", "c_g", "lattice", "dilation-covariance"]
+    assert all(p["wall_s"] >= 0.0 for p in phases)
+    peaks = [p["peak_rss_mb"] for p in phases]
+    assert peaks == sorted(peaks) and peaks[0] > 0.0
 
 
 def test_constants_reports_each_step(constants):
