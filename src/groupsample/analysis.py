@@ -397,15 +397,14 @@ def _cached(kind, grid, omega, cache_dir, compute, sound=None):
     read or fails ``sound`` is recomputed.  Each lookup counts as a hit or a
     miss in ``CACHE_COUNTS``.  A write (uncompressed) goes to a temporary
     file that replaces the entry only when complete, so a failed or killed
-    writer leaves no partial entry; then the entries of the same kind, grid
-    and omega that other code versions wrote are deleted.  Without a
-    directory nothing is cached or counted.
+    writer leaves no partial entry; then every complete entry of that kind
+    from another code version is deleted, whatever its grid and omega.
+    Without a directory nothing is cached or counted.
     """
     if not cache_dir:
         return compute()
-    entry = f"{grid.content_hash()}-{float(omega)!r}.npz"
-    name = f"{kind}-{version_hash()}-{entry}"
-    path = os.path.join(cache_dir, name)
+    prefix = f"{kind}-{version_hash()}-"
+    path = os.path.join(cache_dir, f"{prefix}{grid.content_hash()}-{float(omega)!r}.npz")
     if os.path.exists(path):
         try:
             # an open file of our own: np.load leaks its own when a zip fails
@@ -428,7 +427,7 @@ def _cached(kind, grid, omega, cache_dir, compute, sound=None):
         if os.path.exists(tmp):
             os.unlink(tmp)
     for old in os.listdir(cache_dir):
-        if old.startswith(f"{kind}-") and old.endswith(f"-{entry}") and old != name:
+        if old.startswith(f"{kind}-") and old.endswith(".npz") and not old.startswith(prefix):
             # another process may have pruned it first
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(cache_dir, old))

@@ -116,6 +116,8 @@ class ExperimentConfig:
                 raise ConfigError(f"radius {name} must be positive and finite, got {v}")
         if self.resolution is not None and self.resolution < 3:
             raise ConfigError("grid resolution must be at least 3")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         _, models, params = _EXPERIMENTS[self.experiment]
         if self.model_id not in models:
             raise ConfigError(f"{self.experiment} runs on model {', '.join(models)}, not {self.model!r}")
@@ -130,6 +132,10 @@ class ExperimentConfig:
         if self.experiment == "partition" and self.get("s") > self.get("r"):
             raise ConfigError(f"partition needs s <= r (W inside U), got s = {self.get('s')} "
                               f"and r = {self.get('r')}")
+        if self.experiment == "partition" and self.model_id == "r1" and _gamma_r_layout(
+                self.get("r"), self.get("s"))[2] < 1:
+            raise ConfigError(f"partition on r1 needs a lattice step 1.6 r + 0.3 s below 64, the line "
+                              f"box width; got r = {self.get('r')} and s = {self.get('s')}")
         if self.experiment == "heisenberg" and self.get("r") >= 1:
             raise ConfigError("r plays the role of x = r sqrt(omega) C_G here: need 0 < r < 1")
         if (self.experiment == "beurling-scan"
@@ -223,17 +229,21 @@ def _check(name, ok, **detail):
 # ---------------------------------------------------------------------------
 
 
+def _gamma_r_layout(u, w):
+    """Jitter, span and cell count of ``_jittered_gamma_r`` on [-32, 32): no
+    cell once the target step 1.6 u + 0.3 w reaches the box width 64."""
+    jit = 0.15 * (u - w)
+    step_t = 2.0 * (0.95 * u - jit)
+    return jit, 64.0 - step_t, math.ceil((64.0 - step_t) / step_t)
+
+
 def _jittered_gamma_r(model, seed, u, w):
     """Jittered 1-D lattice that is B_u-dense and whose B_w-balls are
     disjoint on [-32, 32): midpoint spacing stays below 0.95 u."""
-    rng = np.random.default_rng(seed)
-    jit = 0.15 * (u - w)
-    step_t = 2.0 * (0.95 * u - jit)
-    span = 64.0 - step_t
-    n = math.ceil(span / step_t)
+    jit, span, n = _gamma_r_layout(u, w)
     step = span / n
     base = -32.0 + 0.5 * step + step * np.arange(n + 1)
-    pts = base + rng.uniform(-jit, jit, size=base.size)
+    pts = base + np.random.default_rng(seed).uniform(-jit, jit, size=base.size)
     pts = np.clip(pts, -32.0, 32.0 - 1e-9)
     return PointSet(model, pts[:, None], [-32.0], [32.0])
 
@@ -397,7 +407,6 @@ def _exp_wavelet(cfg):
                epsilons={f"{r['u_half']:g}": r["epsilon"] for r in scan["rows"]})
     ]
     rows = []
-    pointset = None
     if scan["u_star"] is None:
         return checks, ("sigma", "a", "b", "tightness", "n_points"), rows, None
 
@@ -416,14 +425,13 @@ def _exp_wavelet(cfg):
         bounds.append(fb)
         rows.append({"sigma": sigma, "a": fb.a, "b": fb.b,
                      "tightness": fb.tightness, "n_points": len(lat)})
-        pointset = lat
     tight = [fb.tightness for fb in bounds]
     basis = {"checked_on": "probe subspace", "n_probes": len(probes)}
     checks.append(_check("lower-bound-positive", all(fb.a > 0 for fb in bounds),
                          a_values=[fb.a for fb in bounds], **basis))
     checks.append(_check("tightness-monotone", tight[0] > tight[1] > tight[2], tightness=tight,
                          **basis))
-    return checks, ("sigma", "a", "b", "tightness", "n_points"), rows, pointset
+    return checks, ("sigma", "a", "b", "tightness", "n_points"), rows, lat  # the finest lattice
 
 
 def _heisenberg_report(cfg, phases):

@@ -191,12 +191,12 @@ def verify_separated(ps: PointSet, s: float) -> Certificate:
 
     Two balls are disjoint when their centres lie at gauge distance at least
     ``model.separation_distance(s)``: 2s where the gauge is subadditive (R^n,
-    H1), s (1 + e^{2s}) for the affine box gauge.  Only the closer pairs are
-    checked further, by ``model.balls_overlap``.  On R^n those pairs are
-    exactly the overlapping ones, and affine balls are coordinate boxes whose
-    overlap is decided exactly; on H1 points of one ball on dilated sphere
-    directions are tested for membership in the other, a sampled check.
-    ``detail["overlap_test"]`` says which.  Raises unless 0 < s < inf.
+    H1), s (1 + e^{2s}) for the affine box gauge.  A closer pair fails unless
+    ``model.balls_overlap`` finds its balls disjoint, which only the affine
+    group's exact box test can.  On R^n closer means overlapping; on H1 the
+    rule is sound but conservative: vertical pairs in [sqrt(2) s, 2s) fail.
+    ``detail["overlap_test"]`` says "exact" or "sufficient".  Raises unless
+    0 < s < inf.
     """
     if not 0 < s < math.inf:
         raise ValueError(f"separation radius must be positive and finite, got {s}")

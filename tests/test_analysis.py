@@ -456,18 +456,23 @@ def test_cache_serves_no_entry_from_other_code(tmp_path, monkeypatch):
 
 
 def test_cache_write_prunes_other_versions(tmp_path):
-    # a miss deletes the entry of the same kind, grid and omega that another
-    # version wrote, and nothing else
+    # a miss deletes every complete entry of its kind that another version
+    # wrote, for any grid and omega; other kinds, this version's entries and
+    # temporary files stay
     grid = Grid.regular(EuclideanModel(1), [0.0], [1.0], (8,))
     other = Grid.regular(EuclideanModel(1), [0.0], [1.0], (16,))
-    stale = tmp_path / f"spectrum-{'0' * 16}-{grid.content_hash()}-1.0.npz"
-    keep = [
+    stale = [
+        tmp_path / f"spectrum-{'0' * 16}-{grid.content_hash()}-1.0.npz",
         tmp_path / f"spectrum-{'0' * 16}-{grid.content_hash()}-2.0.npz",
-        tmp_path / f"spectrum-{'0' * 16}-{other.content_hash()}-1.0.npz",
+        tmp_path / f"spectrum-{'0' * 16}-{other.content_hash()}-1.4142135623730951.npz",
+    ]
+    keep = [
+        tmp_path / f"spectrum-{analysis.version_hash()}-{other.content_hash()}-1.0.npz",
+        tmp_path / f"spectrum-{'0' * 16}-{other.content_hash()}-1.0.npz.123.tmp",
         tmp_path / f"constants-{'0' * 16}-{grid.content_hash()}-1.0.npz",
     ]
-    for path in [stale, *keep]:
-        np.savez_compressed(path, a=np.zeros(1))
+    for path in [*stale, *keep]:
+        path.write_bytes(b"")  # pruning reads no entry
     counts0 = dict(analysis.CACHE_COUNTS)
     arrays = analysis._cached("spectrum", grid, 1.0, str(tmp_path), lambda: {"a": np.arange(3)})
     assert analysis.CACHE_COUNTS["misses"] - counts0["misses"] == 1

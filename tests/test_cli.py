@@ -462,6 +462,60 @@ def test_partition_rejects_s_above_r_before_setup(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+_SWEEP_OMEGA = ["sweep", "--param", "omega", "--values", "1.0", "1.2"]
+
+
+@pytest.mark.parametrize("command,config,key", [
+    # a negative seed used to reach numpy only after the eigensolve
+    (["run"], "experiment = constants\nresolution = 9\nseed = -1\n", "seed"),
+    (["run"], "experiment = heisenberg\nresolution = 9\nseed = -1\n", "seed"),
+    (["run"], "experiment = partition\nmodel = heis1\nresolution = 9\nseed = -1\n", "seed"),
+    (_SWEEP_OMEGA, "experiment = heisenberg\nresolution = 9\nseed = -1\n", "seed"),
+    # the r1 lattice step 1.6 r + 0.3 s reaches the line box: no cell left
+    (["run"], "experiment = partition\nmodel = r1\nr = 40\ns = 1\n", "r"),
+    (["run"], "experiment = partition\nmodel = r1\nr = 40\ns = 1\n", "s"),
+    # the rules before these
+    (["run"], "experiment = bogus\n", "experiment"),
+    (["run"], "experiment = oscillation\nmodel = r1\nr = -1\n", "r"),
+    (["run"], "experiment = constants\nresolution = 2\n", "resolution"),
+    (["run"], "experiment = constants\nmodel = r1\n", "model"),
+    (["run"], "experiment = quasilattice\nomega = 3\n", "omega"),
+    (["run"], "experiment = shannon\nbogus = 1\n", "bogus"),
+    (["run"], "experiment = shannon\nseed = x\n", "seed"),
+    (["run"], "experiment = partition\nmodel = heis1\nresolution = 9\nr = 0.3\n", "s"),
+    (["run"], "experiment = heisenberg\nresolution = 9\nr = 1.5\n", "r"),
+    (["run"], "experiment = beurling-scan\nomega = 3000\n", "omega"),
+], ids=lambda v: v.replace(" = ", "=").replace("\n", " ").strip() if isinstance(v, str)
+    else " ".join(v))
+def test_bad_config_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, config, key):
+    # exit 2 with an error line that names the key, no traceback, nothing
+    # written to the cache or the output directory
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("GROUPSAMPLE_CACHE", str(cache))
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"{config}outdir = {out}\n")
+    assert main([command[0], path, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and re.search(rf"\b{key}\b", errors[0]), captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not (cache.exists() and any(cache.iterdir()))
+    assert not out.exists()
+
+
+def test_verify_heis1_fails_vertical_pair_whose_balls_meet(tmp_path):
+    # (0, 0, 0.24995) lies in both open 1-balls; the sampled overlap test
+    # certified this pair, the gauge distance 1.41407 < 2s now fails it
+    csv = tmp_path / "pts.csv"
+    out = tmp_path / "out"
+    for top, rc in ((0.4999, 1), (1.0, 0)):
+        np.savetxt(csv, [[0.0, 0.0, 0.0], [0.0, 0.0, top]], delimiter=",", header="x0,x1,x2",
+                   comments="")
+        assert main(["verify", str(csv), "--model", "heis1", "--sep", "1", "--outdir", str(out)]) == rc
+        (check,) = json.loads((out / "report.json").read_text())["checks"]
+        assert check["overlap_test"] == "sufficient"
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="shannon", resolution=1).validate()

@@ -179,7 +179,7 @@ def test_csv_roundtrip(tmp_path):
     "model,far",
     [
         (EuclideanModel(1), [1.999]),
-        # between two of the sampled sphere directions
+        # off the axes: the gauge distance decides in every direction
         (EuclideanModel(2), [1.998 * math.cos(math.pi / 64), 1.998 * math.sin(math.pi / 64)]),
     ],
     ids=["r1", "rn2"],
@@ -195,12 +195,87 @@ def test_verify_separated_euclidean_overlap_just_below_2s(model, far):
     assert verify_separated(PointSet(model, np.array([origin, apart]), lo, hi), 1.0).passed
 
 
-def test_verify_separated_heisenberg_overlap_is_sampled():
+def test_verify_separated_heisenberg_overlap_is_sufficient():
+    # on H1 every pair closer than 2s fails, a sound rule by Cygan's
+    # subadditivity of the gauge
     model = HeisenbergModel()
     lo, hi = [-3.0] * 3, [3.0] * 3
     cert = verify_separated(PointSet(model, np.array([[0.0, 0, 0], [1.5, 0, 0]]), lo, hi), 1.0)
     assert not cert.passed
-    assert cert.detail["overlap_test"] == "sampled"
+    assert cert.detail["overlap_test"] == "sufficient"
+    # the sampled test this replaced certified this vertical pair at gauge
+    # distance 1.41407 < sqrt(2), although the midpoint lies in both 1-balls
+    pair = np.array([[0.0, 0, 0], [0.0, 0, 0.4999]])
+    mid = np.array([0.0, 0, 0.24995])
+    assert np.all(model.gauge(model.mul(model.inv(pair), mid)) < 1.0)
+    assert not verify_separated(PointSet(model, pair, lo, hi), 1.0).passed
+    # pairs at gauge distance exactly 2s still pass
+    for far in ([2.0, 0, 0], [0.0, 0, 1.0]):
+        assert model.gauge(np.array(far)) == 2.0
+        assert verify_separated(PointSet(model, np.array([[0.0, 0, 0], far]), lo, hi), 1.0).passed
+
+
+def _common_point(model, h, s, n=21, levels=8):
+    """A point y with gauge(y) < s and gauge(h y) < s, that is a point
+    g1 y common to the open s-balls around g1 and g2 = g1 h^-1, or None.
+
+    Searches a grid over the internal-coordinate box of B_s, then grids
+    zoomed, each to four cells either way, around the best point so far.
+    """
+    lo, hi, _ = model.ball_box(model.identity()[None], s)
+    lo, hi = lo[0], hi[0]
+    for _ in range(levels):
+        axes = [np.linspace(lo[k], hi[k], n) for k in range(model.dim)]
+        u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dim)
+        y = model.from_internal(u)
+        worst = np.maximum(model.gauge(y), model.gauge(model.mul(h[None], y)))
+        best = np.argmin(worst)
+        if worst[best] < s:
+            return y[best]
+        half = 4.0 * (hi - lo) / (n - 1)
+        lo, hi = u[best] - half, u[best] + half
+    return None
+
+
+def _pairs_near_threshold(model, s, rng, n):
+    """n offsets h = g2^-1 g1 around the model's separation threshold."""
+    if model.kind == "affine":
+        # the exact box test decides: offsets on both sides of its boundary
+        d = model.separation_distance(s)
+        u = rng.uniform([-2.2 * s, -1.1 * d], [2.2 * s, 1.1 * d], size=(n, 2))
+        return model.from_internal(u)
+    dirs = random_points(model, n, rng=rng)
+    d = 2.0 * s * rng.uniform(0.9, 1.1, size=n)
+    hs = np.array([model.dilate(t / model.gauge(g), g) for t, g in zip(d, dirs)])
+    if model.kind == "heis1":
+        # vertical pairs meet only below sqrt(2) s, horizontal ones below 2s
+        near = [math.sqrt(2.0) * s * (1 - 1e-4), 2.0 * s * (1 - 1e-4), 2.0 * s]
+        hs = np.concatenate([hs, [[0.0, 0.0, (t / 2.0) ** 2] for t in near],
+                             [[t, 0.0, 0.0] for t in near]])
+    return hs
+
+
+@pytest.mark.parametrize("model", [EuclideanModel(1), EuclideanModel(2), EuclideanModel(3),
+                                   AffineModel(), HeisenbergModel()],
+                         ids=lambda m: m.model_id())
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_verify_separated_passes_only_disjoint_balls(model, s):
+    # soundness: whenever the certificate passes, a dense search finds no
+    # common point of the two open balls
+    rng = np.random.default_rng(17)
+    passed = found = 0
+    for h in _pairs_near_threshold(model, s, rng, 150):
+        g1 = random_points(model, 1, rng=rng)[0]
+        pts = np.array([g1, model.mul(g1, model.inv(h))])
+        u = model.to_internal(pts)
+        cert = verify_separated(PointSet(model, pts, u.min(axis=0) - 1, u.max(axis=0) + 1), s)
+        common = _common_point(model, model.mul(model.inv(pts[1]), pts[0]), s)
+        if cert.passed:
+            passed += 1
+            assert common is None, (pts, common)
+        found += common is not None
+    # neither side is empty, so the search is not vacuous
+    assert passed > 10 and found > 10
 
 
 def test_verify_separated_affine_overlap_beyond_2s():
