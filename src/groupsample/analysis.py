@@ -540,9 +540,7 @@ class ConstantEstimates:
 
 def _gaussian_bump(grid, center, widths):
     pts = grid.nodes_internal()
-    expo = np.zeros(grid.shape)
-    for d in range(grid.dim):
-        expo += ((pts[..., d] - center[d]) / widths[d]) ** 2
+    expo = sum(((pts[..., d] - center[d]) / widths[d]) ** 2 for d in range(grid.dim))
     return GridFunction(grid, np.exp(-expo))
 
 
@@ -698,7 +696,6 @@ def oscillation_scaling_check(proj_e1: SpectralProjector, r_list, seed: int = 0)
         "rows": rows,
         "slope": slope,
         "r_squared": r2,
-        "ratio_over_r": per_r.tolist(),
         "ratio_over_r_spread": float((per_r.max() - per_r.min()) / per_r.max()),
     }
 

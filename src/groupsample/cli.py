@@ -129,13 +129,16 @@ class ExperimentConfig:
             reader = f"the {self.experiment} sweep" if sweep else f"{self.experiment} on {self.model_id}"
             raise ConfigError(f"{reader} does not read {', '.join(unread)}")
         # the experiments' rules, on the values the run will read
-        if self.experiment == "partition" and self.get("s") > self.get("r"):
-            raise ConfigError(f"partition needs s <= r (W inside U), got s = {self.get('s')} "
-                              f"and r = {self.get('r')}")
-        if self.experiment == "partition" and self.model_id == "r1" and _gamma_r_layout(
-                self.get("r"), self.get("s"))[2] < 1:
-            raise ConfigError(f"partition on r1 needs a lattice step 1.6 r + 0.3 s below 64, the line "
-                              f"box width; got r = {self.get('r')} and s = {self.get('s')}")
+        if self.experiment == "partition":
+            u, w = self.get("r"), self.get("s")
+            if w > u:
+                raise ConfigError(f"partition needs s <= r (W inside U), got s = {w} and r = {u}")
+            jit, span, n = _gamma_r_layout(u, w)
+            # on r1 the last node may sit (64 - span) - span / 2n + jit left of the box's right end
+            if self.model_id == "r1" and (n < 1 or (64.0 - span) - span / (2 * n) + jit >= u):
+                raise ConfigError(f"partition on r1 needs a lattice step 1.6 r + 0.3 s below 64, the "
+                                  f"line box width, and a last point within r of its right end 32; "
+                                  f"got r = {u} and s = {w}")
         if self.experiment == "heisenberg" and self.get("r") >= 1:
             raise ConfigError("r plays the role of x = r sqrt(omega) C_G here: need 0 < r < 1")
         if (self.experiment == "beurling-scan"
@@ -238,8 +241,8 @@ def _gamma_r_layout(u, w):
 
 
 def _jittered_gamma_r(model, seed, u, w):
-    """Jittered 1-D lattice that is B_u-dense and whose B_w-balls are
-    disjoint on [-32, 32): midpoint spacing stays below 0.95 u."""
+    """Jittered 1-D lattice on [-32, 32) with disjoint B_w-balls and midpoint spacing
+    below 0.95 u; B_u-dense while its right-end gap is below u, as ``validate()`` checks."""
     jit, span, n = _gamma_r_layout(u, w)
     step = span / n
     base = -32.0 + 0.5 * step + step * np.arange(n + 1)
@@ -275,9 +278,7 @@ def _random_smooth(grid, seed, spread):
         c = rng.uniform(-spread, spread, size=grid.dim)
         wd = rng.uniform(0.5, 1.2)
         amp = rng.uniform(-1.0, 1.0)
-        e = np.zeros(grid.shape)
-        for d in range(grid.dim):
-            e += (pts[..., d] - c[d]) ** 2
+        e = sum((pts[..., d] - c[d]) ** 2 for d in range(grid.dim))
         vals += amp * np.exp(-e / (2.0 * wd**2))
     return GridFunction(grid, vals)
 
@@ -508,7 +509,7 @@ def _exp_partition(cfg):
     points, funcs, dense_shape, partition_shape = setup(cfg, u, w)
     rows = []
     cert_ok = inv_ok = True
-    fs = []
+    fs, resolved = [], []
     for k in range(10):
         ps = points(k)
         cs = verify_separated(ps, w)
@@ -516,6 +517,7 @@ def _exp_partition(cfg):
         part = build_partition(ps, w, u, shape=partition_shape)
         cert_ok &= cs.passed and cd.passed
         inv_ok &= all(part.check_invariants().values())
+        resolved.append(part.resolved_counts())
         for j, f in enumerate(funcs(k)):
             q = quasi_interpolate(f.at(ps.points), part)
             rows.append({"config": k, "func": j, "lhs": (f - q).norm_l2()})
@@ -530,7 +532,9 @@ def _exp_partition(cfg):
     checks = [
         _check("certificates", cert_ok, n_configs=10, checked_on=cd.detail["checked_on"],
                overlap_test=cs.detail["overlap_test"]),
-        _check("partition-invariants", inv_ok, checked_on="grid nodes"),
+        _check("partition-invariants", inv_ok, checked_on="grid nodes", n_points=len(ps),
+               min_w_balls_with_node=min(c[0] for c in resolved),
+               min_cells_with_node=min(c[1] for c in resolved)),
         _check("quasi-interpolation-bound", worst <= tol, worst_violation=worst, tolerance=tol,
                checked_on="sampled"),
     ]

@@ -328,11 +328,8 @@ def heisenberg_sampling_experiment(
         ratios.append(lattice_sum_squares(f, steps) / f.norm_l2() ** 2)
     ratios = np.array(ratios)
     return {
-        "omega": float(omega),
         "c_g": float(c_g),
         "dilation": float(d),
-        "r_dense": float(r),
-        "x": float(x_target),
         "a_pred": float(a_pred),
         "ratio_min": float(ratios.min()),
         "ratio_max": float(ratios.max()),

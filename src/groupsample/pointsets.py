@@ -45,9 +45,7 @@ class PointSet:
         self.hi = np.asarray(self.hi, dtype=float)
         if self.points.shape[1] != self.model.dim:
             raise ValueError("point dimension mismatch")
-        # pairwise distinct
-        uniq = np.unique(self.points, axis=0)
-        if len(uniq) != len(self.points):
+        if len(np.unique(self.points, axis=0)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
 
     def __len__(self):
@@ -86,7 +84,7 @@ class Certificate:
 # relative padding of the candidate boxes, so that rounding in the gauge never
 # finds a pair within r that the box left out
 _BOX_SLACK = 1e-9
-# candidate pairs per block of gauge evaluations
+# candidate pairs per block of gauge evaluations: the one memory bound of a near-pair search
 _CHUNK = 1 << 18
 # bucket cells per median box width: finer cells mean fewer candidates
 # outside the boxes but more cell runs per box
@@ -96,9 +94,9 @@ _CELLS_PER_BOX = 4
 _RADIUS_TOL = 1e-12
 
 
-def _near_pairs(model, x, pts, r):
-    """Every pair with d = gauge(p_j^-1 x_i) < r, as arrays (i, j, d) sorted
-    by (i, j).  r may be inf.
+def _near_blocks(model, x, pts, r):
+    """The pairs with d = gauge(p_j^-1 x_i) < r as arrays (i, j, d), one yield
+    per block of at most ``_CHUNK`` candidate pairs, in no set order.  r may be inf.
 
     d is evaluated only on candidates: the x_i inside the internal-coordinate
     bounds of p_j B_r (``model.ball_box``), whose last axis may be sheared
@@ -106,9 +104,8 @@ def _near_pairs(model, x, pts, r):
     wide; for each cell of its first dim - 1 axes that a box meets, one run
     of sorted cell keys covers the last axis over that cell column.
     """
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     if not (len(x) and len(pts)):
-        return empty
+        return
     # one contiguous row per axis
     u = np.ascontiguousarray(model.to_internal(x).T)
     lo, hi, shear = (np.ascontiguousarray(v.T) for v in model.ball_box(pts, r))
@@ -159,15 +156,19 @@ def _near_pairs(model, x, pts, r):
     first += cell_of(np.clip(t_lo, umin[-1], umax[-1]), -1)
     start = np.searchsorted(key, first, side="left")
     count = np.searchsorted(key, last, side="right") - start
-    count[(t_lo > umax[-1]) | (t_hi < umin[-1])] = 0
+    # only the runs that hold a candidate go on: most hold none when r is small
+    keep = (count > 0) & (t_lo <= umax[-1]) & (t_hi >= umin[-1])
+    jr, start, count = jr[keep], start[keep], count[keep]
 
     inv = model.inv(pts)
-    out = [empty]
-    cuts = np.searchsorted(np.cumsum(count), np.arange(_CHUNK, count.sum(), _CHUNK))
-    for jb, sb, cb in zip(np.split(jr, cuts), np.split(start, cuts), np.split(count, cuts)):
-        # positions in the sorted x, run after run
-        pos = np.arange(cb.sum()) + np.repeat(sb - (np.cumsum(cb) - cb), cb)
-        jc = np.repeat(jb, cb)
+    ends = np.cumsum(count)
+    start -= ends - count  # so candidate k of all, in run m, is the sorted x[start[m] + k]
+    for b0 in range(0, int(count.sum()), _CHUNK):
+        # the runs that meet candidates [b0, b0 + _CHUNK), cut to them
+        sl = slice(np.searchsorted(ends, b0, side="right"), np.searchsorted(ends, b0 + _CHUNK) + 1)
+        cb = np.minimum(ends[sl], b0 + _CHUNK) - np.maximum(ends[sl] - count[sl], b0)
+        pos = np.arange(b0, b0 + cb.sum()) + np.repeat(start[sl], cb)
+        jc = np.repeat(jr[sl], cb)
         t = u[-1][pos]
         inside = np.ones(len(pos), dtype=bool)
         for k in range(model.dim - 1):
@@ -180,8 +181,13 @@ def _near_pairs(model, x, pts, r):
             continue
         d = model.gauge(model.mul(inv[jc], x[pos]))
         near = d < r
-        out.append((order[pos[near]], jc[near], d[near]))
-    i, j, d = (np.concatenate(a) for a in zip(*out))
+        yield order[pos[near]], jc[near], d[near]
+
+
+def _near_pairs(model, x, pts, r):
+    """Every pair of ``_near_blocks``, as arrays (i, j, d) sorted by (i, j)."""
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    i, j, d = (np.concatenate(a) for a in zip(empty, *_near_blocks(model, x, pts, r)))
     k = np.lexsort((j, i))
     return i[k], j[k], d[k]
 
@@ -230,13 +236,10 @@ def verify_dense(ps: PointSet, r: float, shape=64) -> Certificate:
     dist = np.full(len(x), np.inf)
     far = np.arange(len(x))
     for rung in (r / 2, r, np.inf):
-        # the whole set is searched in blocks of nodes, to bound the pairs held
-        step = max(1, len(far) if rung < np.inf else _CHUNK // len(ps))
-        for start in range(0, len(far), step):
-            blk = far[start : start + step]
-            i, _, d = _near_pairs(model, x[blk], ps.points, rung)
-            np.minimum.at(dist, blk[i], d)
-        far = far[np.isinf(dist[far])]
+        if len(far):
+            for i, _, d in _near_blocks(model, x[far], ps.points, rung):
+                np.minimum.at(dist, far[i], d)
+            far = far[np.isinf(dist[far])]
     k = int(np.argmax(dist))
     passed = bool(dist[k] < r)
     return Certificate(
@@ -270,6 +273,12 @@ class Partition:
         near = d < w_tol
         w_ok = bool(np.all(j[near] == a[i[near]]))
         return {"covered": covered, "inside_u": inside_u, "w_contained": w_ok}
+
+    def resolved_counts(self) -> tuple:
+        """(W-balls that hold a grid node, cells that own one): only those
+        W-balls test W subset V_gamma at grid resolution."""
+        _, j, d = self.near_pairs
+        return len(np.unique(j[d < self.w_radius - _RADIUS_TOL])), len(np.unique(self.assignment))
 
 def _first_per_cell(i, j, key):
     """For each distinct cell i of the pairs (i, j), the j with the smallest
@@ -347,9 +356,7 @@ def quasilattice_semidirect(model, base_range, ell_range):
     if isinstance(model, EuclideanModel) and model.dim == 2:
         P, Q = np.meshgrid(base, ells, indexing="ij")
         pts = np.column_stack([P.ravel(), Q.ravel()]).astype(float)
-        lo = np.array([float(b0), float(l0)])
-        hi = np.array([float(b1 + 1), float(l1 + 1)])
-        return PointSet(model, pts, lo, hi), (np.zeros(2), np.ones(2))
+        return PointSet(model, pts, [b0, l0], [b1 + 1, l1 + 1]), (np.zeros(2), np.ones(2))
     if isinstance(model, HeisenbergModel):
         P, Q, R = np.meshgrid(base, base, ells, indexing="ij")
         pts = np.column_stack([P.ravel(), Q.ravel(), R.ravel() / 2.0]).astype(float)
@@ -374,7 +381,7 @@ def tiling_check(ps: PointSet, c_lo, c_hi, shape) -> Certificate:
     grid nodes are checked, as ``detail["checked_on"]`` says, with their
     count in ``detail["n_nodes"]``.
 
-    A translate is tested only on the nodes ``_near_pairs`` finds within the
+    A translate is tested only on the nodes ``_near_blocks`` finds within the
     gauge of C's farthest corner, padded for rounding: the gauge does not
     decrease as any |u_k| grows, so that ball holds C.
     """
@@ -388,15 +395,9 @@ def tiling_check(ps: PointSet, c_lo, c_hi, shape) -> Certificate:
     r = float(model.gauge(corner)) * (1.0 + 1e-6)
     counts = np.zeros(len(x), dtype=np.int64)
     inv = model.inv(ps.points)
-    # blocks of nodes against every translate: a block's pairs are held at
-    # once, so the block size bounds the memory
-    step = max(1, _CHUNK // len(ps))
-    for start in range(0, len(x), step):
-        blk = x[start : start + step]
-        i, j, _ = _near_pairs(model, blk, ps.points, r)
-        q = model.to_internal(model.mul(inv[j], blk[i]))
-        inside = np.all((q >= lo) & (q < hi), axis=1)
-        counts[start : start + step] = np.bincount(i[inside], minlength=len(blk))
+    for i, j, _ in _near_blocks(model, x, ps.points, r):
+        q = model.to_internal(model.mul(inv[j], x[i]))
+        counts += np.bincount(i[np.all((q >= lo) & (q < hi), axis=1)], minlength=len(x))
     passed = bool(np.all(counts == 1))
     return Certificate(
         "quasi-lattice", float(np.max(c_hi - c_lo)), passed,

@@ -56,7 +56,11 @@ def test_criterion_04_partition_euclidean(partition_r):
 
 def test_criterion_04_partition_heisenberg(partition_h):
     _passes(partition_h, "certificates")
-    _passes(partition_h, "partition-invariants")
+    inv = _passes(partition_h, "partition-invariants")
+    # on 33^3 nodes only about a third of the W-balls hold a node, so only
+    # those test W inside V_gamma
+    assert (inv["n_points"], inv["min_w_balls_with_node"], inv["min_cells_with_node"]) == (
+        1815, 507, 1089)
     c = _passes(partition_h, "quasi-interpolation-bound")
     assert c["worst_violation"] <= 1e-4
     assert len(partition_h["rows"]) == 20

@@ -474,6 +474,13 @@ _SWEEP_OMEGA = ["sweep", "--param", "omega", "--values", "1.0", "1.2"]
     # the r1 lattice step 1.6 r + 0.3 s reaches the line box: no cell left
     (["run"], "experiment = partition\nmodel = r1\nr = 40\ns = 1\n", "r"),
     (["run"], "experiment = partition\nmodel = r1\nr = 40\ns = 1\n", "s"),
+    # a few cells leave more than r of the line box uncovered on its right:
+    # build_partition used to stop the run after the lattice was certified
+    (["run"], "experiment = partition\nmodel = r1\nr = 15\ns = 0.08\n", "r"),
+    (["run"], "experiment = partition\nmodel = r1\nr = 15\ns = 0.08\n", "s"),
+    (["run"], "experiment = partition\nmodel = r1\nr = 12\ns = 0.08\n", "r"),
+    (["run"], "experiment = partition\nmodel = r1\nr = 17\ns = 0.08\n", "r"),
+    (["run"], "experiment = partition\nmodel = r1\nr = 39\ns = 1\n", "r"),
     # the rules before these
     (["run"], "experiment = bogus\n", "experiment"),
     (["run"], "experiment = oscillation\nmodel = r1\nr = -1\n", "r"),
@@ -704,7 +711,10 @@ def test_checks_carry_their_basis(tmp_path, wavelet, heisenberg, constants):
     part = runs["partition"]
     assert (part["certificates"]["checked_on"], part["certificates"]["overlap_test"]) == (
         "grid nodes", "exact")
-    assert part["partition-invariants"]["checked_on"] == "grid nodes"
+    inv = part["partition-invariants"]
+    # every W-ball holds a node and every cell owns one, in each of the 10 sets
+    assert (inv["checked_on"], inv["n_points"], inv["min_w_balls_with_node"],
+            inv["min_cells_with_node"]) == ("grid nodes", 151, 151, 151)
     assert part["quasi-interpolation-bound"]["checked_on"] == "sampled"
     osc = runs["oscillation"]["osc-conv-inequality"]
     # 14 node offsets inside B_0.5 at spacing 1/16, and 2 sphere points at 2

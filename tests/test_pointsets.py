@@ -17,6 +17,7 @@ from groupsample import (
     quasilattice_semidirect,
     tiling_check,
 )
+from groupsample import pointsets
 from groupsample.pointsets import hyperbolic_lattice, _near_pairs
 
 from helpers import random_points
@@ -110,15 +111,15 @@ def _tiling_reference(ps, c_lo, c_hi, shape):
     )
 
 
-@pytest.mark.parametrize(
-    "model,base,ells",
-    [
-        (EuclideanModel(2), (-2, 2), (-2, 2)),
-        (AffineModel(), (-4, 4), (-2, 2)),
-        (HeisenbergModel(), (-2, 2), (-9, 9)),
-    ],
-    ids=["rn2", "affine", "heis1"],
-)
+# the quasi-lattices of the ``quasilattice`` experiment
+_QL_CASES = [
+    (EuclideanModel(2), (-2, 2), (-2, 2)),
+    (AffineModel(), (-4, 4), (-2, 2)),
+    (HeisenbergModel(), (-2, 2), (-9, 9)),
+]
+
+
+@pytest.mark.parametrize("model,base,ells", _QL_CASES, ids=["rn2", "affine", "heis1"])
 def test_quasilattice_exact_tiling(model, base, ells):
     ps, (c_lo, c_hi) = quasilattice_semidirect(model, base, ells)
     cert = tiling_check(ps, c_lo, c_hi, shape=33)
@@ -320,6 +321,17 @@ def _assert_near_pairs_exact(model, x, pts, r):
 
 @pytest.mark.parametrize("model", NEAR_MODELS, ids=lambda m: m.model_id())
 def test_near_pairs_match_dense_reference(model):
+    _near_pairs_cases(model)
+
+
+@pytest.mark.parametrize("model", NEAR_MODELS, ids=lambda m: m.model_id())
+def test_near_pairs_match_dense_reference_in_small_blocks(model, monkeypatch):
+    # blocks of 97 candidate pairs cut through the runs of most balls
+    monkeypatch.setattr(pointsets, "_CHUNK", 97)
+    _near_pairs_cases(model)
+
+
+def _near_pairs_cases(model):
     rng = np.random.default_rng(11)
     grid = Grid.regular(model, [-3.0] * model.dim, [3.0] * model.dim, 9)
     nodes = grid.points().reshape(-1, model.dim)
@@ -369,16 +381,15 @@ def _invariants_reference(d, a, w, u):
     }
 
 
-@pytest.mark.parametrize(
-    "model,lo,hi,shape,w,u",
-    [
-        (EuclideanModel(1), [0.0], [6.0], 12, 0.1, 0.55),
-        (EuclideanModel(2), [0.0, 0.0], [4.0, 4.0], 8, 0.1, 0.8),
-        (AffineModel(), [-1.0, -2.0], [1.0, 2.0], 6, 0.1, 1.5),
-        (HeisenbergModel(), [-2.0, -2.0, -2.0], [2.0, 2.0, 2.0], 5, 0.3, 2.2),
-    ],
-    ids=["r1", "rn2", "affine", "heis1"],
-)
+_PARTITION_CASES = [
+    (EuclideanModel(1), [0.0], [6.0], 12, 0.1, 0.55),
+    (EuclideanModel(2), [0.0, 0.0], [4.0, 4.0], 8, 0.1, 0.8),
+    (AffineModel(), [-1.0, -2.0], [1.0, 2.0], 6, 0.1, 1.5),
+    (HeisenbergModel(), [-2.0, -2.0, -2.0], [2.0, 2.0, 2.0], 5, 0.3, 2.2),
+]
+
+
+@pytest.mark.parametrize("model,lo,hi,shape,w,u", _PARTITION_CASES, ids=["r1", "rn2", "affine", "heis1"])
 def test_partition_matches_dense_reference(model, lo, hi, shape, w, u):
     ps = _jittered(model, lo, hi, shape, 0.3, seed=3)
     part = build_partition(ps, w, u, shape=4 * shape + 1)
@@ -473,21 +484,24 @@ def _h1_lattice0():
     return _h1_jittered_lattice(HeisenbergModel(), 0)
 
 
+_DENSE_CASES = [
+    (lambda: _jittered(EuclideanModel(1), [-4.0], [4.0], 16, 0.3, seed=1), 0.6, 129, True),
+    (lambda: _jittered(EuclideanModel(1), [-4.0], [4.0], 16, 0.3, seed=1), 0.3, 129, False),
+    # a hole: most nodes find no point within r and go on to the whole set
+    (lambda: PointSet(EuclideanModel(1), np.array([[0.0], [4.0]]), [0.0], [4.5]), 0.5, 128, False),
+    (lambda: _jittered(EuclideanModel(2), [-2.0] * 2, [2.0] * 2, 6, 0.3, seed=2), 1.0, 33, True),
+    (lambda: _jittered(EuclideanModel(2), [-2.0] * 2, [2.0] * 2, 6, 0.3, seed=2), 0.5, 33, False),
+    (lambda: _jittered(AffineModel(), [-1.0, -2.0], [1.0, 2.0], 6, 0.3, seed=3), 1.0, 25, True),
+    (lambda: _jittered(AffineModel(), [-1.0, -2.0], [1.0, 2.0], 6, 0.3, seed=3), 0.4, 25, False),
+    (_h1_lattice0, 2.6, 17, True),
+    # 4 nodes have no point within 1.5 and reach the search of the whole set
+    (_h1_lattice0, 1.5, 17, False),
+]
+
+
 @pytest.mark.parametrize(
     "make_ps,r,shape,passed",
-    [
-        (lambda: _jittered(EuclideanModel(1), [-4.0], [4.0], 16, 0.3, seed=1), 0.6, 129, True),
-        (lambda: _jittered(EuclideanModel(1), [-4.0], [4.0], 16, 0.3, seed=1), 0.3, 129, False),
-        # a hole: most nodes find no point within r and go on to the whole set
-        (lambda: PointSet(EuclideanModel(1), np.array([[0.0], [4.0]]), [0.0], [4.5]), 0.5, 128, False),
-        (lambda: _jittered(EuclideanModel(2), [-2.0] * 2, [2.0] * 2, 6, 0.3, seed=2), 1.0, 33, True),
-        (lambda: _jittered(EuclideanModel(2), [-2.0] * 2, [2.0] * 2, 6, 0.3, seed=2), 0.5, 33, False),
-        (lambda: _jittered(AffineModel(), [-1.0, -2.0], [1.0, 2.0], 6, 0.3, seed=3), 1.0, 25, True),
-        (lambda: _jittered(AffineModel(), [-1.0, -2.0], [1.0, 2.0], 6, 0.3, seed=3), 0.4, 25, False),
-        (_h1_lattice0, 2.6, 17, True),
-        # 4 nodes have no point within 1.5 and reach the search of the whole set
-        (_h1_lattice0, 1.5, 17, False),
-    ],
+    _DENSE_CASES,
     ids=["r1-pass", "r1-fail", "r1-hole", "rn2-pass", "rn2-fail", "affine-pass", "affine-fail",
          "heis1-pass", "heis1-fail"],
 )
@@ -500,16 +514,15 @@ def test_verify_dense_ladder_matches_two_pass_reference(make_ps, r, shape, passe
 
 
 def test_verify_dense_searches_near_first(monkeypatch):
-    from groupsample import pointsets
-
     calls = []
+    near_blocks = pointsets._near_blocks
 
     def spy(model, x, pts, r):
-        out = _near_pairs(model, x, pts, r)
-        calls.append((r, len(x), len(out[0])))
-        return out
+        blocks = list(near_blocks(model, x, pts, r))
+        calls.append((r, len(x), sum(len(b[0]) for b in blocks)))
+        return iter(blocks)
 
-    monkeypatch.setattr(pointsets, "_near_pairs", spy)
+    monkeypatch.setattr(pointsets, "_near_blocks", spy)
     ps = _h1_lattice0()
     assert verify_dense(ps, 2.6, shape=17).passed
     # every node finds a point within r, so the whole set is never searched;
@@ -520,3 +533,44 @@ def test_verify_dense_searches_near_first(monkeypatch):
     assert not verify_dense(ps, 1.5, shape=17).passed
     assert [c[0] for c in calls] == [0.75, 1.5, np.inf]
     assert calls[-1][1] == 4
+
+
+def test_tiling_check_searches_once_in_bounded_blocks(monkeypatch):
+    calls, sizes = [], []
+    near_blocks = pointsets._near_blocks
+
+    def spy(model, x, pts, r):
+        calls.append((len(x), len(pts)))
+        for block in near_blocks(model, x, pts, r):
+            sizes.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(pointsets, "_near_blocks", spy)
+    ps, (c_lo, c_hi) = quasilattice_semidirect(HeisenbergModel(), (-2, 2), (-9, 9))
+    assert tiling_check(ps, c_lo, c_hi, shape=33).passed
+    # one search over all 33^3 nodes, whose pairs come in several blocks
+    assert calls == [(33**3, 475)]
+    assert len(sizes) > 1 and max(sizes) <= pointsets._CHUNK
+
+
+def _block_sensitive_results():
+    """verify_dense, tiling_check and build_partition on the cases above."""
+
+    def cert_of(c):
+        return c.passed, c.detail, None if c.witness is None else c.witness.tolist()
+
+    out = [cert_of(verify_dense(make_ps(), r, shape=shape)) for make_ps, r, shape, _ in _DENSE_CASES]
+    for model, base, ells in _QL_CASES:
+        ps, (c_lo, c_hi) = quasilattice_semidirect(model, base, ells)
+        out.append(cert_of(tiling_check(ps, c_lo, c_hi, shape=33)))
+    for model, lo, hi, shape, w, u in _PARTITION_CASES:
+        part = build_partition(_jittered(model, lo, hi, shape, 0.3, seed=3), w, u, shape=4 * shape + 1)
+        pairs = tuple(v.tobytes() for v in part.near_pairs)
+        out.append((part.assignment.tobytes(), pairs, part.check_invariants()))
+    return out
+
+
+def test_searches_unchanged_in_small_blocks(monkeypatch):
+    ref = _block_sensitive_results()
+    monkeypatch.setattr(pointsets, "_CHUNK", 97)
+    assert _block_sensitive_results() == ref
